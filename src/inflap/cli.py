@@ -2,7 +2,7 @@
 reproducible artifacts.
 
 Usage:
-    inflap run <config.json> [--out DIR] [--seed N] [--jobs N]
+    inflap run <config.json> [--out DIR] [--seed N]
     inflap catalog
 
 A config is a JSON object with an "experiment" key (one of decay,
@@ -15,14 +15,13 @@ iff every non-vacuous property passed, 2 for unusable configs.
 
 All floating-point output uses 17 significant digits, so identical
 config+seed reproduces identical bytes (timestamps live in their own
-file).  The --jobs flag is accepted for compatibility with parallel
-harness drivers; this reference runner executes sequentially, which is
-already deterministic.
+file).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -59,10 +58,15 @@ def _domain_from(cfg):
 
 
 def _solver_config(cfg):
-    keys = ("variable", "cfl", "stencil", "grad_cap", "auto_cap_scale",
-            "max_steps", "positivity_floor", "summarize_residual", "use_jit")
-    kw = {k: cfg[k] for k in keys if k in cfg}
-    return solver.SolverConfig(**kw)
+    known = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ConfigError(f"unknown solver key(s) {unknown}; "
+                          f"known keys are {sorted(known)}")
+    try:
+        return solver.SolverConfig(**cfg)
+    except ValueError as e:
+        raise ConfigError(f"solver config: {e}") from e
 
 
 def _load_config(path):
@@ -331,7 +335,7 @@ _BODIES = {
 }
 
 
-def run(config_path, out_dir=None, seed=None, jobs=1):
+def run(config_path, out_dir=None, seed=None):
     """Execute one experiment config; returns the process exit code."""
     try:
         cfg = _load_config(config_path)
@@ -373,12 +377,10 @@ def main(argv=None):
     p_run.add_argument("config", help="JSON experiment file")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; sequential runner")
     sub.add_parser("catalog", help="list boundary-data generators")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.out, args.seed, args.jobs)
+        return run(args.config, args.out, args.seed)
     return catalog_main()
 
 

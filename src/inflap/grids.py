@@ -150,7 +150,9 @@ class CylinderGrid:
     Read-only after construction; safe to share across workers.  Boundary
     ("ring") nodes carry prescribed values at their projected sample
     positions; every interior node has a full 3^n - 1 stencil whose entries
-    are interior or ring nodes.
+    are interior or ring nodes.  The neighbor tables are stored in Fortran
+    order, so ``nbr_index.T`` and ``nbr_dist.T`` are C-contiguous (K, Ni)
+    views whose rows the solver reads one stencil column at a time.
     """
 
     domain: Domain
@@ -160,8 +162,8 @@ class CylinderGrid:
     pos: np.ndarray           # (N, n) lattice coordinates
     sample_pos: np.ndarray    # (N, n) positions where data/fields live
     interior_mask: np.ndarray  # (N,) bool
-    nbr_index: np.ndarray     # (Ni, K) node indices per canonical offset
-    nbr_dist: np.ndarray      # (Ni, K) stencil distances
+    nbr_index: np.ndarray     # (Ni, K) node indices per offset, F order
+    nbr_dist: np.ndarray      # (Ni, K) stencil distances, F order
     offsets: np.ndarray       # (K, n) canonical offsets
     t: np.ndarray             # (L,) time levels, t[0]=0, t[-1]=T
 
@@ -172,14 +174,6 @@ class CylinderGrid:
     @property
     def dim(self):
         return self.pos.shape[1]
-
-    @property
-    def interior_idx(self):
-        return np.flatnonzero(self.interior_mask)
-
-    @property
-    def boundary_idx(self):
-        return np.flatnonzero(~self.interior_mask)
 
     @property
     def dt_level(self):
@@ -194,6 +188,11 @@ class CylinderGrid:
         self._offset_lookup = {
             tuple(int(v) for v in off): k for k, off in enumerate(self.offsets)
         }
+        self.interior_idx = np.flatnonzero(self.interior_mask)
+        self.boundary_idx = np.flatnonzero(~self.interior_mask)
+        self.dmin = np.min(self.nbr_dist, axis=1)    # (Ni,) shortest arm
+        # (K, Ni) d^(4/3), the distance scale of the solver's cusp branch
+        self.nbr_dist43 = self.nbr_dist.T ** (4.0 / 3.0)
 
 
 @dataclass
@@ -308,8 +307,8 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     # neighbor table for interior nodes
     int_ids = np.flatnonzero(interior)
     Kst = offsets.shape[0]
-    nbr_index = np.empty((int_ids.size, Kst), dtype=np.int64)
-    nbr_dist = np.empty((int_ids.size, Kst), dtype=float)
+    nbr_index = np.empty((int_ids.size, Kst), dtype=np.int64, order="F")
+    nbr_dist = np.empty((int_ids.size, Kst), dtype=float, order="F")
     lat_dist = h * np.linalg.norm(offsets, axis=-1)
     for row, i in enumerate(int_ids):
         z = lattice_int[i]

@@ -30,11 +30,16 @@ scheme therefore switches to the cusp-consistent monotone value
 (+ the mirror image at minima).  The per-direction quantity
 (v_c - v_k)/d_k^(4/3) estimates c and is distance-consistent for the
 radial model, non-increasing in each neighbor value, so monotonicity is
-kept; at smooth critical points the value is O(h^2).  The update
-is non-decreasing in every neighbor value once the CFL bound holds;
-the |D eta|^4 term uses the axiswise upwind estimate
-Q^2 = sum_i max((v_{+i}-v_c)/d_{+i}, (v_{-i}-v_c)/d_{-i}, 0)^2 (also
-monotone).  Stencil constants in the CFL rule: S = 1 weights the
+kept; at smooth critical points the value is O(h^2).  The CFL bound
+makes the update non-decreasing in the center value.  Away from extrema
+it is non-decreasing in every neighbor value only while the one-sided
+slopes stay within a factor 3 of each other: G comes from the same
+slopes as S2, so G^2 S2 falls as max_k s_k rises where
+3 max_k s_k + min_k s_k < 0 (and mirrored).  Smooth data at small h
+stays inside that range; random fields do not.  The |D eta|^4 term uses
+the axiswise upwind estimate
+Q^2 = sum_i max((v_{+i}-v_c)/d_{+i}, (v_{-i}-v_c)/d_{-i}, 0)^2, which
+is monotone.  Stencil constants in the CFL rule: S = 1 weights the
 second-order coefficient 2 G^2 / d_min^2, and U = sqrt(n) weights the
 quartic sensitivity 4 Q^3 / d_min.
 
@@ -45,6 +50,12 @@ effective log-gradient at grad_cap (default c/sqrt(h) for such runs),
 which caps the diffusivity in an O(sqrt(h)) boundary collar and restores
 dt ~ h^3; the collar error vanishes under refinement and is measured
 directly against the exact separable solutions in the acceptance suite.
+
+One kernel serves the stepper, the CFL rule and the monotone
+discrete_infinity_laplacian.  It reads the neighbor tables one stencil
+column at a time (a C-contiguous row of nbr_index.T), so every operation
+is elementwise over the interior nodes; solve() advances one in-place
+state array and rewrites the lateral ring after each step.
 """
 
 from __future__ import annotations
@@ -58,11 +69,6 @@ import numpy as np
 from .grids import GridField
 from . import transforms
 
-try:  # optional JIT path; the numpy route below is the reference
-    import numba as _numba
-except Exception:  # pragma: no cover
-    _numba = None
-
 __all__ = [
     "SolverConfig",
     "SolveResult",
@@ -70,7 +76,6 @@ __all__ = [
     "StiffnessError",
     "discrete_infinity_laplacian",
     "cfl_dt",
-    "step",
     "solve",
 ]
 
@@ -87,21 +92,17 @@ class StiffnessError(SolverError):
 class SolverConfig:
     variable: str = "eta"
     cfl: float = 0.9
-    stencil: str = "monotone_minmax"
     grad_cap: Optional[float] = None   # None = no cap; "auto" via solve()
     auto_cap_scale: float = 0.6        # cap = scale / sqrt(h) for decay runs
     max_steps: int = 5_000_000
     positivity_floor: float = 1e-8
     summarize_residual: bool = True
-    use_jit: Optional[bool] = None   # None = use numba when available
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         if self.variable not in ("eta", "phi"):
             raise ValueError("variable must be 'eta' or 'phi'")
-        if self.stencil not in ("monotone_minmax", "centered_diagnostic"):
-            raise ValueError("unknown stencil")
         if self.positivity_floor <= 0:
             raise ValueError("positivity_floor must be positive")
 
@@ -125,176 +126,53 @@ CUSP = 64.0 / 81.0  # D_inf(u0 - c r^(4/3)) -> -(64/81) c^3 at the origin
 def _monotone_parts(grid, vals):
     """Monotone D_inf estimate and its center-sensitivity bound.
 
-    Returns (dinf, g, coef_c): the wide-stencil minmax operator with the
-    cusp-consistent branch at discrete local extrema, the gradient
-    magnitude estimate used for diffusivity capping, and a per-node bound
-    on -d(dinf)/d(v_c) for the CFL rule.
+    Returns (dinf, g, coef_c, axis_slopes): the wide-stencil minmax
+    operator with the cusp-consistent branch at discrete local extrema,
+    the gradient magnitude estimate used for diffusivity capping, a
+    per-node bound on -d(dinf)/d(v_c) for the CFL rule, and the
+    (+e_i, -e_i) slope pair of every axis.  The loop runs over the K
+    stencil columns; strict comparisons keep the first column on ties,
+    as argmax/argmin would.
     """
-    nbr_vals = vals[grid.nbr_index]
-    c = vals[grid.interior_idx][:, None]
-    slopes = (nbr_vals - c) / grid.nbr_dist
-    kp = np.argmax(slopes, axis=1)
-    km = np.argmin(slopes, axis=1)
-    rows = np.arange(slopes.shape[0])
-    sp = slopes[rows, kp]
-    sm = slopes[rows, km]
-    dp = grid.nbr_dist[rows, kp]
-    dm = grid.nbr_dist[rows, km]
+    c = vals[grid.interior_idx]
+    n_i = c.size
+    sp = np.full(n_i, -np.inf)
+    sm = np.full(n_i, np.inf)
+    dp = np.zeros(n_i)
+    dm = np.zeros(n_i)
+    qmax = np.full(n_i, -np.inf)   # extremes of (v_k - v_c) / d_k^(4/3)
+    qmin = np.full(n_i, np.inf)
+    plus, minus = transforms._axis_columns(grid)
+    slope = dict.fromkeys(plus + minus)
+    for k, (idx, dist, d43) in enumerate(
+            zip(grid.nbr_index.T, grid.nbr_dist.T, grid.nbr_dist43)):
+        diff = vals[idx] - c
+        s = diff / dist
+        up = s > sp
+        np.copyto(sp, s, where=up)
+        np.copyto(dp, dist, where=up)
+        dn = s < sm
+        np.copyto(sm, s, where=dn)
+        np.copyto(dm, dist, where=dn)
+        q = diff / d43
+        np.maximum(qmax, q, out=qmax)
+        np.minimum(qmin, q, out=qmin)
+        if k in slope:
+            slope[k] = s
     s2 = 2.0 * (sp + sm) / (dp + dm)
     g = np.maximum(np.maximum(sp, -sm), 0.0)
     dinf = (0.5 * (sp - sm)) ** 2 * s2
     coef_c = 2.0 * (0.5 * (sp - sm)) ** 2 / (dp * dm)
 
-    d43 = grid.nbr_dist ** (4.0 / 3.0)
-    is_max = sp <= 0.0
-    is_min = sm >= 0.0
-    if np.any(is_max):
-        cusp_c = np.max((c[is_max] - nbr_vals[is_max]) / d43[is_max], axis=1)
-        cusp_c = np.maximum(cusp_c, 0.0)
-        dinf[is_max] = -CUSP * cusp_c ** 3
-        dmin = np.min(grid.nbr_dist[is_max], axis=1)
-        coef_c[is_max] = 3.0 * CUSP * cusp_c ** 2 / dmin ** (4.0 / 3.0)
-    if np.any(is_min):
-        cusp_c = np.max((nbr_vals[is_min] - c[is_min]) / d43[is_min], axis=1)
-        cusp_c = np.maximum(cusp_c, 0.0)
-        dinf[is_min] = CUSP * cusp_c ** 3
-        dmin = np.min(grid.nbr_dist[is_min], axis=1)
-        coef_c[is_min] = 3.0 * CUSP * cusp_c ** 2 / dmin ** (4.0 / 3.0)
-    return dinf, g, coef_c
-
-
-def _upwind_quartic_sq(grid, vals):
-    """Axiswise upwind |D eta|^2 estimate (monotone in neighbor values)."""
-    n = grid.dim
-    c = vals[grid.interior_idx]
-    q2 = np.zeros_like(c)
-    for ax in range(n):
-        cp = grid.offset_column(tuple(int(i == ax) for i in range(n)))
-        cm = grid.offset_column(tuple(-int(i == ax) for i in range(n)))
-        up = (vals[grid.nbr_index[:, cp]] - c) / grid.nbr_dist[:, cp]
-        dn = (vals[grid.nbr_index[:, cm]] - c) / grid.nbr_dist[:, cm]
-        q = np.maximum(np.maximum(up, dn), 0.0)
-        q2 += q * q
-    return q2
-
-
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _kernel_phi(vals, nbr_index, nbr_dist, d43, dmin43, interior_idx,
-                    cap, floor, rhs, coef):
-        cusp = 64.0 / 81.0
-        n_i = interior_idx.size
-        K = nbr_index.shape[1]
-        for row in range(n_i):
-            c = vals[interior_idx[row]]
-            sp = -1e300
-            sm = 1e300
-            dp = 0.0
-            dm = 0.0
-            cmax = 0.0
-            cmin = 0.0
-            for k in range(K):
-                v = vals[nbr_index[row, k]]
-                d = nbr_dist[row, k]
-                sl = (v - c) / d
-                if sl > sp:
-                    sp = sl
-                    dp = d
-                if sl < sm:
-                    sm = sl
-                    dm = d
-                cc = (c - v) / d43[row, k]
-                if cc > cmax:
-                    cmax = cc
-                if -cc > cmin:
-                    cmin = -cc
-            if sp <= 0.0:
-                dinf = -cusp * cmax ** 3
-                cc_c = 3.0 * cusp * cmax * cmax / dmin43[row]
-            elif sm >= 0.0:
-                dinf = cusp * cmin ** 3
-                cc_c = 3.0 * cusp * cmin * cmin / dmin43[row]
-            else:
-                gc = 0.5 * (sp - sm)
-                dinf = gc * gc * 2.0 * (sp + sm) / (dp + dm)
-                cc_c = 2.0 * gc * gc / (dp * dm)
-            g = sp if sp > -sm else -sm
-            if g < 0.0:
-                g = 0.0
-            phi = c if c > floor else floor
-            fac = 1.0 / (phi * phi)
-            if cap > 0.0:
-                r = g / phi
-                if r > cap:
-                    sh = cap / r
-                    fac *= sh * sh
-            rhs[row] = dinf * fac / 3.0
-            coef[row] = cc_c * fac / 3.0
-
-    @_numba.njit(cache=True)
-    def _kernel_eta(vals, nbr_index, nbr_dist, d43, dmin43, dmin,
-                    interior_idx, plus_cols, minus_cols, cap, sqrt_n,
-                    rhs, coef):
-        cusp = 64.0 / 81.0
-        n_i = interior_idx.size
-        K = nbr_index.shape[1]
-        n_ax = plus_cols.size
-        for row in range(n_i):
-            c = vals[interior_idx[row]]
-            sp = -1e300
-            sm = 1e300
-            dp = 0.0
-            dm = 0.0
-            cmax = 0.0
-            cmin = 0.0
-            for k in range(K):
-                v = vals[nbr_index[row, k]]
-                d = nbr_dist[row, k]
-                sl = (v - c) / d
-                if sl > sp:
-                    sp = sl
-                    dp = d
-                if sl < sm:
-                    sm = sl
-                    dm = d
-                cc = (c - v) / d43[row, k]
-                if cc > cmax:
-                    cmax = cc
-                if -cc > cmin:
-                    cmin = -cc
-            if sp <= 0.0:
-                dinf = -cusp * cmax ** 3
-                cc_c = 3.0 * cusp * cmax * cmax / dmin43[row]
-            elif sm >= 0.0:
-                dinf = cusp * cmin ** 3
-                cc_c = 3.0 * cusp * cmin * cmin / dmin43[row]
-            else:
-                gc = 0.5 * (sp - sm)
-                dinf = gc * gc * 2.0 * (sp + sm) / (dp + dm)
-                cc_c = 2.0 * gc * gc / (dp * dm)
-            g = sp if sp > -sm else -sm
-            if g < 0.0:
-                g = 0.0
-            if cap > 0.0 and g > cap:
-                sh = cap / g
-                dinf *= sh * sh
-                cc_c *= sh * sh
-            q2 = 0.0
-            for ax in range(n_ax):
-                kp = plus_cols[ax]
-                km = minus_cols[ax]
-                up = (vals[nbr_index[row, kp]] - c) / nbr_dist[row, kp]
-                dn = (vals[nbr_index[row, km]] - c) / nbr_dist[row, km]
-                q = up if up > dn else dn
-                if q < 0.0:
-                    q = 0.0
-                q2 += q * q
-            if cap > 0.0 and q2 > cap * cap:
-                q2 = cap * cap
-            q3 = q2 * math.sqrt(q2)
-            rhs[row] = (dinf + q2 * q2) / 3.0
-            coef[row] = (cc_c + 4.0 * sqrt_n * q3 / dmin[row]) / 3.0
+    # discrete maxima, then minima (a flat node is both; the minimum wins)
+    for sel, cusp_c, sign in ((sp <= 0.0, -qmin, -1.0),
+                              (sm >= 0.0, qmax, 1.0)):
+        if np.any(sel):
+            cusp_c = np.maximum(cusp_c[sel], 0.0)
+            dinf[sel] = sign * CUSP * cusp_c ** 3
+            coef_c[sel] = 3.0 * CUSP * cusp_c ** 2 / \
+                grid.dmin[sel] ** (4.0 / 3.0)
+    return dinf, g, coef_c, [(slope[p], slope[m]) for p, m in zip(plus, minus)]
 
 
 def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
@@ -305,8 +183,7 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     residual work).  Returns an array over grid.interior_idx.
     """
     if mode == "monotone_minmax":
-        dinf, _, _ = _monotone_parts(grid, vals)
-        return dinf
+        return _monotone_parts(grid, vals)[0]
     if mode == "centered_diagnostic":
         dinf, _ = transforms._infinity_laplacian_centered(
             grid, vals, grid.h, grid.nbr_index)
@@ -314,57 +191,32 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def cfl_dt(grid, vals, config, cap=None, dmin=None, dmin2=None):
-    """Largest monotone explicit step for the current level.
-
-    eta mode:  dt = cfl * 3 / (2 G^2 S / dmin^2 + 4 sqrt(n) Q^3 U / dmin),
-    phi mode:  dt = cfl * 3 dmin^2 / (2 R^2),  R = G_phi / max(phi, floor),
-    with S = U = 1 and G, Q capped at grad_cap when configured.
-    """
-    if dmin is None:
-        dmin = np.min(grid.nbr_dist, axis=1)
-        dmin2 = dmin * dmin
-    _, g, coef_c = _monotone_parts(grid, vals)
-    tiny = 1e-300
-    if config.variable == "eta":
-        q2 = _upwind_quartic_sq(grid, vals)
-        q = np.sqrt(q2)
-        if cap is not None:
-            scale = np.minimum(cap / np.maximum(g, tiny), 1.0)
-            coef_c = coef_c * scale * scale
-            q = np.minimum(q, cap)
-        denom = coef_c + 4.0 * math.sqrt(grid.dim) * q ** 3 / dmin
-        return config.cfl * 3.0 / max(float(np.max(denom)), tiny)
-    c = vals[grid.interior_idx]
-    phi_safe = np.maximum(c, config.positivity_floor)
-    fac = 1.0 / (phi_safe * phi_safe)
-    if cap is not None:
-        r = g / phi_safe
-        shrink = np.minimum(cap / np.maximum(r, tiny), 1.0)
-        fac = fac * shrink * shrink
-    denom = coef_c * fac
-    return config.cfl * 3.0 / max(float(np.max(denom)), tiny)
-
-
 def _rhs_and_coef(grid, vals, config, cap):
     """Monotone right-hand side dv/dt and the CFL coefficient, one pass.
 
     Returns (rhs over interior rows, coef: per-node bound on -d(rhs)/d(v_c)
-    scaled so that dt <= cfl / max(coef) keeps the update monotone).
+    scaled so that dt <= cfl / max(coef) keeps the update non-decreasing
+    in the center value).  With coef_c from _monotone_parts,
+    eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
+    phi mode:  coef = coef_c / (3 max(phi, floor)^2),
+    where the gradient cap, when set, scales coef_c down and clips Q.
     """
     tiny = 1e-300
-    dinf, g, coef_c = _monotone_parts(grid, vals)
+    dinf, g, coef_c, axis_slopes = _monotone_parts(grid, vals)
     if config.variable == "eta":
-        q2 = _upwind_quartic_sq(grid, vals)
+        # axiswise upwind |D eta|^2 estimate (monotone in neighbor values)
+        q2 = np.zeros_like(dinf)
+        for up, dn in axis_slopes:
+            q = np.maximum(np.maximum(up, dn), 0.0)
+            q2 += q * q
         if cap is not None:
             scale = np.minimum(cap / np.maximum(g, tiny), 1.0)
             dinf = dinf * scale * scale
             coef_c = coef_c * scale * scale
             q2 = np.minimum(q2, cap * cap)
-        dmin = np.min(grid.nbr_dist, axis=1)
         q3 = q2 * np.sqrt(q2)
         rhs = (dinf + q2 * q2) / 3.0
-        coef = (coef_c + 4.0 * math.sqrt(grid.dim) * q3 / dmin) / 3.0
+        coef = (coef_c + 4.0 * math.sqrt(grid.dim) * q3 / grid.dmin) / 3.0
         return rhs, coef
     phi_safe = np.maximum(vals[grid.interior_idx], config.positivity_floor)
     fac = 1.0 / (phi_safe * phi_safe)
@@ -375,33 +227,12 @@ def _rhs_and_coef(grid, vals, config, cap):
     return dinf * fac / 3.0, coef_c * fac / 3.0
 
 
-def step(grid, vals, bd, t_now, dt, config, cap=None):
-    """One explicit Euler substep; returns the full node array at t_now+dt.
-
-    Interior nodes update by the monotone (or centered) scheme; lateral
-    ring nodes are overwritten with the prescribed datum at the new time.
+def cfl_dt(grid, vals, config, cap=None):
+    """Largest monotone explicit step for the current level: the dt the
+    stepper in solve() takes, cfl / max(coef), before clipping to a level.
     """
-    out = vals.copy()
-    ii = grid.interior_idx
-    if config.stencil == "monotone_minmax":
-        rhs, _ = _rhs_and_coef(grid, vals, config, cap)
-        out[ii] = vals[ii] + dt * rhs
-    else:
-        dinf, gsq = transforms._infinity_laplacian_centered(
-            grid, vals, grid.h, grid.nbr_index)
-        if config.variable == "eta":
-            out[ii] = vals[ii] + dt / 3.0 * (dinf + gsq * gsq)
-        else:
-            r2 = gsq / np.maximum(vals[ii], config.positivity_floor) ** 2
-            s2c = dinf / np.maximum(gsq, 1e-300)
-            out[ii] = vals[ii] + dt / 3.0 * (r2 * s2c * gsq)
-    bidx = grid.boundary_idx
-    gb = np.asarray(bd.g(grid.sample_pos[bidx], t_now + dt), dtype=float)
-    if config.variable == "eta":
-        out[bidx] = np.log(np.maximum(gb, config.positivity_floor))
-    else:
-        out[bidx] = gb
-    return out
+    _, coef = _rhs_and_coef(grid, vals, config, cap)
+    return config.cfl / max(float(np.max(coef)), 1e-300)
 
 
 def _resolve_cap(grid, bd, config):
@@ -427,83 +258,40 @@ def solve(grid, bd, config=None):
     sample_boundary_data(bd, grid)  # validates positivity/continuity; sets m, M
     cap = _resolve_cap(grid, bd, config)
 
-    N, L = grid.n_nodes, grid.time_levels
+    L = grid.time_levels
+    eta = config.variable == "eta"
+    floor = config.positivity_floor
     ii = grid.interior_idx
     bidx = grid.boundary_idx
     bpts = grid.sample_pos[bidx]
-    values = np.empty((N, L))
-    f0 = np.asarray(bd.f(grid.sample_pos), dtype=float)
-    if config.variable == "eta":
-        work = np.log(np.maximum(f0, config.positivity_floor))
-    else:
-        work = f0.copy()
+
+    def to_variable(phi):
+        phi = np.asarray(phi, dtype=float)
+        return np.log(np.maximum(phi, floor)) if eta else phi
+
+    values = np.empty((grid.n_nodes, L))
+    work = to_variable(bd.f(grid.sample_pos)).copy()
     values[:, 0] = work
     dt_history = []
     flags = {"positivity_ok": True, "cfl_shrunk": False}
-    steps_total = 0
-
-    use_jit = config.use_jit
-    if use_jit is None:
-        use_jit = _numba is not None
-    use_jit = use_jit and config.stencil == "monotone_minmax"
-    if use_jit and _numba is None:
-        raise SolverError("use_jit requested but numba is unavailable")
-    if use_jit:
-        d43 = grid.nbr_dist ** (4.0 / 3.0)
-        dmin = np.min(grid.nbr_dist, axis=1)
-        dmin43 = dmin ** (4.0 / 3.0)
-        rhs = np.empty(ii.size)
-        coef = np.empty(ii.size)
-        cap_arg = float(cap) if cap is not None else -1.0
-        n = grid.dim
-        plus_cols = np.array(
-            [grid.offset_column(tuple(int(i == ax) for i in range(n)))
-             for ax in range(n)], dtype=np.int64)
-        minus_cols = np.array(
-            [grid.offset_column(tuple(-int(i == ax) for i in range(n)))
-             for ax in range(n)], dtype=np.int64)
-
-    def _advance(vals_now, t_now, t_target):
-        if use_jit:
-            if config.variable == "phi":
-                _kernel_phi(vals_now, grid.nbr_index, grid.nbr_dist, d43,
-                            dmin43, ii, cap_arg, config.positivity_floor,
-                            rhs, coef)
-            else:
-                _kernel_eta(vals_now, grid.nbr_index, grid.nbr_dist, d43,
-                            dmin43, dmin, ii, plus_cols, minus_cols,
-                            cap_arg, math.sqrt(grid.dim), rhs, coef)
-            local_rhs, local_coef = rhs, coef
-        else:
-            local_rhs, local_coef = _rhs_and_coef(grid, vals_now, config, cap)
-        dt = config.cfl / max(float(np.max(local_coef)), 1e-300)
-        dt = min(dt, t_target - t_now)
-        vals_now[ii] += dt * local_rhs
-        gb = np.asarray(bd.g(bpts, t_now + dt), dtype=float)
-        if config.variable == "eta":
-            vals_now[bidx] = np.log(np.maximum(gb, config.positivity_floor))
-        else:
-            vals_now[bidx] = gb
-        return dt
 
     for j in range(1, L):
         t_now = grid.t[j - 1]
         t_target = grid.t[j]
         while t_now < t_target - 1e-14 * grid.T:
-            if config.stencil == "monotone_minmax":
-                dt = _advance(work, t_now, t_target)
-            else:
-                dt = cfl_dt(grid, work, config, cap=cap)
-                dt = min(dt, t_target - t_now)
-                work = step(grid, work, bd, t_now, dt, config, cap=cap)
+            rhs, coef = _rhs_and_coef(grid, work, config, cap)
+            dt = config.cfl / max(float(np.max(coef)), 1e-300)
+            dt = min(dt, t_target - t_now)
+            work[ii] += dt * rhs
+            work[bidx] = to_variable(bd.g(bpts, t_now + dt))
             if dt < 1e-13 * grid.T:
                 raise StiffnessError(
                     f"time step collapsed to {dt:.3e} at t={t_now:.6g}; "
                     "the problem is too stiff for the explicit scheme"
                 )
-            if config.variable == "phi":
+            if not eta:
                 wmin = float(np.min(work[ii]))
-                if wmin < config.positivity_floor:
+                if wmin < floor:
                     if bd.zero_lateral_ok:
                         np.clip(work, 0.0, None, out=work)
                         flags["positivity_ok"] = flags["positivity_ok"] and \
@@ -515,8 +303,7 @@ def solve(grid, bd, config=None):
                         )
             t_now += dt
             dt_history.append(dt)
-            steps_total += 1
-            if steps_total > config.max_steps:
+            if len(dt_history) > config.max_steps:
                 raise StiffnessError(
                     f"exceeded max_steps={config.max_steps}"
                 )
@@ -524,21 +311,12 @@ def solve(grid, bd, config=None):
     if len(dt_history) > L - 1:
         flags["cfl_shrunk"] = True
 
-    if config.variable == "eta":
-        fld = GridField(grid, np.exp(values), "phi",
-                        {"solved_in": "eta", "grad_cap": cap})
-    else:
-        fld = GridField(grid, values, "phi",
-                        {"solved_in": "phi", "grad_cap": cap})
+    fld = GridField(grid, np.exp(values) if eta else values, "phi",
+                    {"solved_in": config.variable, "grad_cap": cap})
     summary = None
     if config.summarize_residual and L >= 3:
-        try:
-            if config.variable == "eta":
-                eta_fld = GridField(grid, values, "eta")
-                summary = transforms.residual_Gamma(eta_fld)
-            else:
-                pos = np.all(fld.values[grid.interior_idx] > 0)
-                summary = transforms.residual_Pi(fld) if pos else None
-        except Exception:
-            summary = None
+        if eta:
+            summary = transforms.residual_Gamma(GridField(grid, values, "eta"))
+        elif np.all(fld.values[ii] > 0):
+            summary = transforms.residual_Pi(fld)
     return SolveResult(fld, dt_history, summary, flags, config)

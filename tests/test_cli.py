@@ -66,6 +66,15 @@ class TestRunner:
         assert cli.run(missing) == 2
         wrong = self.write_cfg(tmp_path, {"experiment": "nonsense"})
         assert cli.run(wrong) == 2
+        capsys.readouterr()
+        for key, value in (("use_jit", True), ("stencil", "monotone_minmax"),
+                           ("cfl", 0.0)):
+            stale = self.write_cfg(tmp_path, {
+                "experiment": "decay",
+                "solver": {"variable": "phi", key: value},
+                "out_dir": str(tmp_path / "out")})
+            assert cli.run(stale) == 2
+            assert key in capsys.readouterr().err
         # no partial artifact tree with a summary is produced
         assert not (tmp_path / "out" / "summary.csv").exists()
 

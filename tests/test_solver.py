@@ -2,12 +2,14 @@
 
 The exact separable solutions from the radial module serve as oracles;
 ordering and maximum-principle properties are exercised on seeded random
-data.  Keep grids small here; the full acceptance configuration runs in
-test_acceptance.py.
+data, and the stencil kernel on hypothesis-drawn fields.  Keep grids
+small here; the full acceptance configuration runs in test_acceptance.py.
 """
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from inflap import radial, solver, transforms
 from inflap.grids import BoundaryData, Domain, build_grid
@@ -34,8 +36,6 @@ class TestConfig:
             solver.SolverConfig(cfl=0.0)
         with pytest.raises(ValueError):
             solver.SolverConfig(variable="psi")
-        with pytest.raises(ValueError):
-            solver.SolverConfig(stencil="upwind")
         with pytest.raises(ValueError):
             solver.SolverConfig(positivity_floor=0.0)
 
@@ -114,17 +114,6 @@ class TestExactness:
             variable="eta", summarize_residual=False))
         exact = sep.as_field(g).values
         assert np.max(np.abs(res.field.values - exact)) < 2e-2
-
-    def test_jit_and_numpy_paths_agree(self):
-        pytest.importorskip("numba")
-        psi = radial.decaying_profile(1.0, LAMBDA_B1, 1.0, fixed_which="m")
-        g = build_grid(Domain.interval(-1, 1), 0.1, 0.3, 4)
-        outs = []
-        for jit in (False, True):
-            cfg = solver.SolverConfig(variable="phi", use_jit=jit,
-                                      summarize_residual=False)
-            outs.append(solver.solve(g, eigen_bd(psi), cfg).field.values)
-        assert np.max(np.abs(outs[0] - outs[1])) < 1e-13
 
     def test_eta_and_phi_modes_agree_on_positive_data(self):
         # variable consistency: solve in eta, solve in phi, same solution
@@ -245,15 +234,6 @@ def test_solve_result_metadata():
     assert res.config.variable == "eta"
 
 
-def test_centered_stencil_solve_smoke():
-    g = build_grid(Domain.interval(0, 1), 0.1, 0.2, 4)
-    bd = const_bd(1.5)
-    cfg = solver.SolverConfig(stencil="centered_diagnostic",
-                              summarize_residual=False)
-    res = solver.solve(g, bd, cfg)
-    assert np.max(np.abs(res.field.values - 1.5)) < 1e-12
-
-
 def test_ordered_initial_data_same_lateral():
     # same lateral datum, ordered initial data: order persists level by level
     g = build_grid(Domain.interval(0, 1), 0.1, 0.3, 4)
@@ -267,14 +247,84 @@ def test_ordered_initial_data_same_lateral():
     assert np.all(r1.field.values <= r2.field.values + 1e-10)
 
 
-def test_jit_and_numpy_agree_eta_mode():
-    pytest.importorskip("numba")
-    g = build_grid(Domain.interval(0, 1), 0.1, 0.3, 4)
-    bd = BoundaryData(f=lambda x: 1.0 + 0.5 * np.sin(np.pi * x[:, 0]) ** 2,
-                      g=lambda x, t: np.ones(len(x)))
-    outs = []
-    for jit in (False, True):
-        cfg = solver.SolverConfig(variable="eta", use_jit=jit,
-                                  summarize_residual=False)
-        outs.append(solver.solve(g, bd, cfg).field.values)
-    assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
+# ---------------------------------------------------------------------------
+# kernel properties on random positive fields
+# ---------------------------------------------------------------------------
+
+KERNEL_GRIDS = {
+    "disk": build_grid(Domain.ball((0.0, 0.0), 1.0), 0.25, 0.5, 3),  # K = 8
+    "box": build_grid(Domain.box([(0, 1)] * 3), 0.25, 0.5, 3),      # K = 26
+}
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(grid, config, field in the solved variable, gradient cap)."""
+    g = KERNEL_GRIDS[draw(st.sampled_from(sorted(KERNEL_GRIDS)))]
+    variable = draw(st.sampled_from(["eta", "phi"]))
+    phi = draw(hnp.arrays(float, g.n_nodes, elements=st.floats(0.2, 3.0),
+                          fill=st.nothing()))   # every node drawn
+    vals = np.log(phi) if variable == "eta" else phi
+    cap = draw(st.none() | st.floats(0.5, 5.0))
+    return g, solver.SolverConfig(variable=variable), vals, cap
+
+
+def argmax_reference(grid, vals):
+    """(dinf, g, coef_c) of the monotone kernel in row-major argmax form."""
+    nbr = vals[grid.nbr_index]
+    c = vals[grid.interior_idx][:, None]
+    slopes = (nbr - c) / grid.nbr_dist
+    rows = np.arange(slopes.shape[0])
+    kp, km = np.argmax(slopes, axis=1), np.argmin(slopes, axis=1)
+    sp, sm = slopes[rows, kp], slopes[rows, km]
+    dp, dm = grid.nbr_dist[rows, kp], grid.nbr_dist[rows, km]
+    g = np.maximum(np.maximum(sp, -sm), 0.0)
+    dinf = (0.5 * (sp - sm)) ** 2 * (2.0 * (sp + sm) / (dp + dm))
+    coef = 2.0 * (0.5 * (sp - sm)) ** 2 / (dp * dm)
+    d43 = grid.nbr_dist ** (4.0 / 3.0)
+    dmin43 = np.min(grid.nbr_dist, axis=1) ** (4.0 / 3.0)
+    for sel, cusp, sign in ((sp <= 0.0, np.max((c - nbr) / d43, axis=1), -1),
+                            (sm >= 0.0, np.max((nbr - c) / d43, axis=1), 1)):
+        cusp = np.maximum(cusp[sel], 0.0)
+        dinf[sel] = sign * solver.CUSP * cusp ** 3
+        coef[sel] = 3.0 * solver.CUSP * cusp ** 2 / dmin43[sel]
+    return dinf, g, coef
+
+
+@given(kernel_inputs())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_argmax_reference(inputs):
+    g, _, vals, _ = inputs
+    got = solver._monotone_parts(g, vals)[:3]
+    for a, b in zip(got, argmax_reference(g, vals)):
+        assert np.array_equal(a, b)
+
+
+@given(kernel_inputs())
+@settings(max_examples=100, deadline=None)
+def test_cfl_dt_is_the_stepper_rule(inputs):
+    g, cfg, vals, cap = inputs
+    _, coef = solver._rhs_and_coef(g, vals, cfg, cap)
+    assert solver.cfl_dt(g, vals, cfg, cap=cap) == \
+        cfg.cfl / max(np.max(coef), 1e-300)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: G^2 = ((s+ - s-)/2)^2 comes from the same slopes as the "
+    "curvature, so D_inf falls as s+ rises where 3 s+ + s- < 0 (and as s- "
+    "rises where s+ + 3 s- > 0); random fields hit this"))
+@given(kernel_inputs(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          phases=(Phase.generate,))   # no shrinking: the defect is known
+def test_update_non_decreasing_in_each_neighbour(inputs, data):
+    g, cfg, vals, cap = inputs
+    row = data.draw(st.integers(0, g.interior_idx.size - 1))
+    col = data.draw(st.integers(0, g.nbr_index.shape[1] - 1))
+    raised = vals.copy()
+    raised[g.nbr_index[row, col]] += data.draw(st.floats(1e-3, 1.0))
+    dt = solver.cfl_dt(g, vals, cfg, cap=cap)
+    node = g.interior_idx[row]
+    before = vals[node] + dt * solver._rhs_and_coef(g, vals, cfg, cap)[0][row]
+    after = raised[node] + dt * solver._rhs_and_coef(
+        g, raised, cfg, cap)[0][row]
+    assert after >= before - 1e-12 * abs(before)
