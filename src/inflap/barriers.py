@@ -3,22 +3,20 @@
 Every barrier is pinned to the boundary datum h at an anchor point of the
 parabolic boundary: sub-solutions sit below h on all of P_T and reach
 h - 2 eps at the anchor, super-solutions sit above h and reach h + 2 eps.
-The catalog:
+The sides mirror each other, so each construction is written once and
+takes the side ("sub" or "super") as data:
 
-  alpha_sub / alpha_sup   interior anchor at t = 0; a radial profile on a
-                          small ball glued to a space-constant exponential
-                          tail (decaying e^{-lam t/3} for sub, growing
-                          e^{+lam t/3} for super; the profile parameter is
-                          pinned by bisection so the center hits the datum).
-  beta_sub / beta_sup     boundary anchor at t = 0; same glue with a faster
-                          exponential rate k >= lam chosen so the barrier
-                          drops below m - 2 eps (rises above M + 2 eps) by
-                          time tau.
-  gamma_sub (cone)        lateral anchor (y, s), s > 0; in the log variable
-                          a double cone k(s+tau-t) - c r + log(m-2eps) with
-                          c^4 = 3k, base radius delta = k tau / c; the lower
-                          cone solves the log equation exactly.
-  gamma_sup (cusp)        lateral anchor; a cusp c r^nu - k(s+tau-t)
+  alpha / beta (glue)     anchor y at t = 0 (interior for alpha, boundary
+                          for beta): a radial profile on a small ball,
+                          decaying (sub) or growing (super) from the center
+                          h(y) -+ 2 eps, glued to the constant m - 2 eps
+                          (M + 2 eps) and carried by exp(-+ k t/3); alpha
+                          has k = lam, beta the faster k >= lam that passes
+                          the glue value by time tau.
+  gamma (time tent)       lateral anchor (y, s); in the log variable under
+                          the tent k (tau - |t - s|): the sub cone
+                          tent - c r + log(m-2eps) with c^4 = 3k (exact
+                          below s), the super cusp c r^nu - tent
                           + log(M+2eps) with nu = 1/(1+2 Gamma),
                           Gamma = log((M+2eps)/(m+2eps)).
   staircase_sup           slab functions psi(x) g_k(t) / 2^(k-1) forcing
@@ -28,10 +26,12 @@ The catalog:
   exist13_bump            the quadratic jet improvement used to show the
                           Perron supremum is a super-solution.
 
-Neighborhood sizes (delta, tau) come from a sampled continuity modulus of
-h with geometric back-off.  Anchors with h(anchor) = m (sub) or = M
-(super) return the constant barrier (the right convention for flat
-data, where no pinned bump is available).
+The envelopes, the Perron sup/inf and the family builders are likewise
+one body each, with max/min or the side's makers as data.  Neighborhood
+sizes (delta, tau) come from a sampled continuity modulus of h with
+geometric back-off.  Anchors with h(anchor) = m (sub) or = M (super)
+return the constant barrier (the right convention for flat data, where no
+pinned bump is available).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import GridField, classify_parabolic_boundary
+from .grids import GridField, classify_parabolic_boundary, sample_datum
 from .quadrature import bisect_monotone, decay_table, grow_table
 from .radial import RadialProfile, decaying_profile, growing_profile
 
@@ -79,13 +79,6 @@ class BarrierError(ValueError):
     """Barrier construction failure (bad anchor, data, or parameters)."""
 
 
-def _exp_clip(x):
-    """exp with the argument clipped at 700: super barriers near their
-    anchors can carry enormous rates (lambda ~ delta^(-4)); the clipped
-    value ~1e304 still dominates any datum, keeping comparisons valid."""
-    return math.exp(min(x, 700.0))
-
-
 @dataclass
 class BarrierSpec:
     family: str
@@ -110,42 +103,24 @@ class Barrier:
         return self._eval(pts, float(t))
 
     def eval_field(self, grid):
-        vals = np.empty((grid.n_nodes, grid.time_levels))
-        for j, tj in enumerate(grid.t):
-            vals[:, j] = self.eval(grid.sample_pos, tj)
-        return GridField(grid, vals, "phi", {"barrier": self.spec.family})
+        fld = GridField.from_function(grid, self.eval)
+        fld.meta = {"barrier": self.spec.family}
+        return fld
 
 
 # ---------------------------------------------------------------------------
 # continuity modulus by geometric back-off
 # ---------------------------------------------------------------------------
 
-def _pt_samples(grid, bd):
-    """(points, times, values) arrays over the sampled P_T of a grid."""
-    cls = classify_parabolic_boundary(grid)
-    pts, ts, vals = [], [], []
-    f0 = np.asarray(bd.f(grid.sample_pos), dtype=float)
-    pts.append(grid.sample_pos)
-    ts.append(np.zeros(grid.n_nodes))
-    vals.append(f0)
-    bidx = grid.boundary_idx
-    bpts = grid.sample_pos[bidx]
-    for j in range(1, grid.time_levels):
-        if not cls.pt_mask[bidx, j].any():
-            continue
-        pts.append(bpts)
-        ts.append(np.full(bidx.size, grid.t[j]))
-        vals.append(np.asarray(bd.g(bpts, grid.t[j]), dtype=float))
-    return np.vstack(pts), np.concatenate(ts), np.concatenate(vals)
-
-
 def _modulus_backoff(grid, bd, anchor_pt, anchor_t, anchor_val, eps,
                      delta0, tau0, max_halvings=60):
     """Shrink (delta, tau) until the sampled oscillation of h on the
     space-time neighborhood of the anchor is <= eps."""
-    pts, ts, vals = _pt_samples(grid, bd)
-    dx = np.linalg.norm(pts - np.asarray(anchor_pt), axis=1)
-    dt_ = np.abs(ts - anchor_t)
+    pt = classify_parabolic_boundary(grid).pt_mask
+    vals = sample_datum(bd, grid)[pt]
+    node, level = np.nonzero(pt)
+    dx = np.linalg.norm(grid.sample_pos[node] - np.asarray(anchor_pt), axis=1)
+    dt_ = np.abs(grid.t[level] - anchor_t)
     delta, tau = float(delta0), float(tau0)
     for _ in range(max_halvings):
         sel = (dx <= delta) & (dt_ <= tau)
@@ -161,110 +136,140 @@ def _modulus_backoff(grid, bd, anchor_pt, anchor_t, anchor_val, eps,
 
 
 # ---------------------------------------------------------------------------
-# lambda pinning via the radial tables
+# pinned sub/super barriers: one construction per family, side as data
 # ---------------------------------------------------------------------------
 
-def _pin_decaying_lambda(ball_r, boundary_val, center_target):
-    """lambda in (0, lambda_B(ball_r)) pinning the profile center.
-
-    The implicit relation F(boundary/center) = lambda^(1/4) ball_r is
-    directly invertible once both endpoint values are prescribed, so no
-    iteration is needed; monotonicity of the center in lambda guarantees
-    this is the unique admissible parameter.
-    """
-    if center_target <= boundary_val:
-        raise BarrierError("center target must exceed the glue value")
-    tbl = decay_table()
-    lam = (float(tbl.value(boundary_val / center_target)) / ball_r) ** 4
-    return lam
+def _require_sampled(bd, eps, kind):
+    if bd.m is None or bd.M is None:
+        raise BarrierError("sample_boundary_data must run before barriers")
+    if kind == "sub" and not bd.m - 2.0 * eps > 0:
+        raise BarrierError(f"need m - 2 eps > 0 (m={bd.m}, eps={eps})")
 
 
-def _pin_growing_lambda(ball_r, center_val, boundary_target):
-    """lambda > 0 with growing profile u(ball_r) = boundary_target
-    (direct inversion of G(target/center) = lambda^(1/4) ball_r)."""
-    if boundary_target <= center_val:
-        raise BarrierError("boundary target must exceed the center value")
-    tbl = grow_table()
-    lam = (float(tbl.value(boundary_target / center_val)) / ball_r) ** 4
-    return lam
-
-
-def _constant_barrier(family, anchor, eps, value, kind):
+def _flat_barrier(family, anchor, eps, bd, kind, datum):
+    """The constant barrier m (sub) or M (super) when the datum at the
+    anchor already sits at that bound, else None."""
+    if kind == "sub":
+        flat, value = datum <= bd.m * (1.0 + 1e-12), bd.m
+    else:
+        flat, value = datum >= bd.M * (1.0 - 1e-12), bd.M
+    if not flat:
+        return None
     spec = BarrierSpec(family, anchor, eps, {"value": value}, constant=True)
     return Barrier(spec, kind, lambda pts, t: np.full(len(pts), value))
 
 
-# ---------------------------------------------------------------------------
-# Part 1: sub-solutions
-# ---------------------------------------------------------------------------
+def _glued(kind, family, y, eps, bd, grid):
+    """alpha (interior anchor) or beta (boundary anchor) barrier at t = 0.
 
-def _require_sub_eps(bd, eps):
-    if bd.m is None:
-        raise BarrierError("sample_boundary_data must run before barriers")
-    if not bd.m - 2.0 * eps > 0:
-        raise BarrierError(f"need m - 2 eps > 0 (m={bd.m}, eps={eps})")
+    The radial profile on the ball B_delta(y) runs from the center
+    h(y) -+ 2 eps to the glue value m - 2 eps (sub, decaying profile) or
+    M + 2 eps (super, growing profile); its parameter lam inverts the
+    profile table at glue/center directly, which is unique because the
+    center is monotone in lam.
+    """
+    _require_sampled(bd, eps, kind)
+    sub = kind == "sub"
+    name = f"{family}_{'sub' if sub else 'sup'}"
+    dom = grid.domain
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if family == "alpha" and not dom.contains(y[None, :])[0]:
+        raise BarrierError("alpha anchor must be interior")
+    fy = float(bd.f(y[None, :])[0])
+    anchor = (tuple(y), 0.0)
+    flat = _flat_barrier(name, anchor, eps, bd, kind, fy)
+    if flat is not None:
+        return flat
+    if family == "alpha":
+        delta0 = 0.98 * float(dom.boundary_distance(y[None, :])[0])
+    else:
+        delta0 = 0.5 * dom.diameter()
+    delta, tau = _modulus_backoff(grid, bd, y, 0.0, fy, eps, delta0, grid.T)
+    if sub:
+        glue, center = bd.m - 2.0 * eps, fy - 2.0 * eps
+        low, high, table = glue, center, decay_table()
+    else:
+        glue, center = bd.M + 2.0 * eps, fy + 2.0 * eps
+        low, high, table = center, glue, grow_table()
+    if high <= low:
+        raise BarrierError(f"{name}: the center {center} and the glue "
+                           f"value {glue} are in the wrong order")
+    lam = (float(table.value(glue / center)) / delta) ** 4
+    prof = (decaying_profile(delta, lam, glue, fixed_which="delta") if sub
+            else growing_profile(delta, lam, center))
+    derived = {"lam": lam}
+    rate = lam
+    if family == "beta":
+        rate = max(lam, 3.0 / tau * math.log(high / low))
+        derived.update(k=rate, tau=tau)
+    derived.update(delta_ball=delta, glue=glue,
+                   center=prof.m if sub else center)
+
+    def evaluate(pts, t):
+        r = np.linalg.norm(pts - y, axis=1)
+        base = np.full(len(pts), glue)
+        inside = r <= delta
+        if inside.any():
+            core = prof.eval(r[inside])
+            base[inside] = core if sub else np.minimum(core, glue)
+        if sub:
+            return base * math.exp(-rate * t / 3.0)
+        # super rates near the anchor can be enormous (lam ~ delta^-4); the
+        # clipped e^700 ~ 1e304 still dominates any datum
+        return base * math.exp(min(rate * t / 3.0, 700.0))
+
+    return Barrier(BarrierSpec(name, anchor, eps, derived), kind, evaluate)
 
 
 def make_alpha_sub(y, eps, bd, grid):
     """Sub barrier anchored at an interior point at t = 0."""
-    _require_sub_eps(bd, eps)
-    dom = grid.domain
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not dom.contains(y[None, :])[0]:
-        raise BarrierError("alpha anchor must be interior")
-    fy = float(bd.f(y[None, :])[0])
-    anchor = (tuple(y), 0.0)
-    if fy <= bd.m * (1.0 + 1e-12):
-        return _constant_barrier("alpha_sub", anchor, eps, bd.m, "sub")
-    dist = float(dom.boundary_distance(y[None, :])[0])
-    delta, _ = _modulus_backoff(grid, bd, y, 0.0, fy, eps,
-                                0.98 * dist, grid.T)
-    bv = bd.m - 2.0 * eps
-    lam = _pin_decaying_lambda(delta, bv, fy - 2.0 * eps)
-    prof = decaying_profile(delta, lam, bv, fixed_which="delta")
-
-    def evaluate(pts, t, y=y, prof=prof, lam=lam, delta=delta, bv=bv):
-        r = np.linalg.norm(pts - y, axis=1)
-        base = np.full(len(pts), bv)
-        inside = r <= delta
-        if inside.any():
-            base[inside] = prof.eval(r[inside])
-        return base * math.exp(-lam * t / 3.0)
-
-    spec = BarrierSpec("alpha_sub", anchor, eps,
-                       {"lam": lam, "delta_ball": delta, "glue": bv,
-                        "center": prof.m})
-    return Barrier(spec, "sub", evaluate)
+    return _glued("sub", "alpha", y, eps, bd, grid)
 
 
 def make_beta_sub(y, eps, bd, grid):
     """Sub barrier anchored at a boundary point at t = 0."""
-    _require_sub_eps(bd, eps)
-    dom = grid.domain
+    return _glued("sub", "beta", y, eps, bd, grid)
+
+
+def make_alpha_sup(y, eps, bd, grid):
+    """Super barrier anchored at an interior point at t = 0."""
+    return _glued("super", "alpha", y, eps, bd, grid)
+
+
+def make_beta_sup(y, eps, bd, grid):
+    """Super barrier anchored at a boundary point at t = 0."""
+    return _glued("super", "beta", y, eps, bd, grid)
+
+
+def _lateral_anchor(kind, family, y, s, eps, bd, grid):
+    """Prologue of the gamma makers at the lateral anchor (y, s).
+
+    Returns (y, h(y, s), flat, delta, tau): flat is the constant barrier
+    where h(y, s) sits at m (sub) or M (super), and (delta, tau) the
+    backed-off neighborhood otherwise.
+    """
+    _require_sampled(bd, eps, kind)
+    if not 0.0 < s < grid.T:
+        raise BarrierError("gamma anchor needs 0 < s < T")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    fy = float(bd.f(y[None, :])[0])
-    anchor = (tuple(y), 0.0)
-    if fy <= bd.m * (1.0 + 1e-12):
-        return _constant_barrier("beta_sub", anchor, eps, bd.m, "sub")
-    delta, tau = _modulus_backoff(grid, bd, y, 0.0, fy, eps,
-                                  0.5 * dom.diameter(), grid.T)
-    bv = bd.m - 2.0 * eps
-    lam = _pin_decaying_lambda(delta, bv, fy - 2.0 * eps)
-    k = max(lam, 3.0 / tau * math.log((fy - 2.0 * eps) / bv))
-    prof = decaying_profile(delta, lam, bv, fixed_which="delta")
+    hys = float(bd.g(y[None, :], s)[0])
+    flat = _flat_barrier(family, (tuple(y), s), eps, bd, kind, hys)
+    if flat is not None:
+        return y, hys, flat, None, None
+    delta, tau = _modulus_backoff(grid, bd, y, s, hys, eps,
+                                  0.5 * grid.domain.diameter(),
+                                  min(s, grid.T - s))
+    return y, hys, None, delta, tau
 
-    def evaluate(pts, t, y=y, prof=prof, k=k, delta=delta, bv=bv):
-        r = np.linalg.norm(pts - y, axis=1)
-        base = np.full(len(pts), bv)
-        inside = r <= delta
-        if inside.any():
-            base[inside] = prof.eval(r[inside])
-        return base * math.exp(-k * t / 3.0)
 
-    spec = BarrierSpec("beta_sub", anchor, eps,
-                       {"lam": lam, "k": k, "tau": tau, "delta_ball": delta,
-                        "glue": bv, "center": prof.m})
-    return Barrier(spec, "sub", evaluate)
+def _tent(k, s, tau, t):
+    """(k (tau - |t - s|), t < s) on the tent [s - tau, s + tau], else
+    None."""
+    if s <= t <= s + tau:
+        return k * (s + tau - t), False
+    if s - tau <= t < s:
+        return k * (t - s + tau), True
+    return None
 
 
 def make_gamma_sub_cone(y, s, eps, bd, grid):
@@ -274,19 +279,11 @@ def make_gamma_sub_cone(y, s, eps, bd, grid):
     (c^4 = 3k); the region residual is c^4 - 3k = 0 below the anchor time
     and c^4 + 3k above it.
     """
-    _require_sub_eps(bd, eps)
-    if not 0.0 < s < grid.T:
-        raise BarrierError("gamma anchor needs 0 < s < T")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    hys = float(bd.g(y[None, :], s)[0])
-    anchor = (tuple(y), s)
-    if hys <= bd.m * (1.0 + 1e-12):
-        return _constant_barrier("gamma_sub_cone", anchor, eps, bd.m, "sub")
+    y, hys, flat, delta0, tau = _lateral_anchor("sub", "gamma_sub_cone", y,
+                                                s, eps, bd, grid)
+    if flat is not None:
+        return flat
     log_ratio = math.log((hys - 2.0 * eps) / (bd.m - 2.0 * eps))
-    delta0, tau0 = _modulus_backoff(grid, bd, y, s, hys, eps,
-                                    0.5 * grid.domain.diameter(),
-                                    min(s, grid.T - s))
-    tau = tau0
     for _ in range(200):
         delta_cone = (tau / 3.0) ** 0.25 * log_ratio ** 0.75
         if delta_cone <= delta0:
@@ -299,15 +296,12 @@ def make_gamma_sub_cone(y, s, eps, bd, grid):
     delta = k * tau / c
     log_glue = math.log(bd.m - 2.0 * eps)
 
-    def evaluate(pts, t, y=y, s=s, k=k, c=c, tau=tau, log_glue=log_glue):
+    def evaluate(pts, t):
         r = np.linalg.norm(pts - y, axis=1)
         eta = np.full(len(pts), log_glue)
-        if s <= t <= s + tau:
-            lim = k * (s + tau - t)
-            mask = c * r <= lim
-            eta[mask] = lim - c * r[mask] + log_glue
-        elif s - tau <= t < s:
-            lim = k * (t - s + tau)
+        tent = _tent(k, s, tau, t)
+        if tent is not None:
+            lim = tent[0]
             mask = c * r <= lim
             eta[mask] = lim - c * r[mask] + log_glue
         return np.exp(eta)
@@ -316,15 +310,13 @@ def make_gamma_sub_cone(y, s, eps, bd, grid):
         """Closed-form Gamma residual inside the cones, NaN outside."""
         r = np.linalg.norm(np.atleast_2d(pts) - y, axis=1)
         out = np.full(len(r), np.nan)
-        if s <= t <= s + tau:
-            mask = c * r < k * (s + tau - t)
-            out[mask] = c ** 4 + 3.0 * k
-        elif s - tau <= t < s:
-            mask = c * r < k * (t - s + tau)
-            out[mask] = c ** 4 - 3.0 * k
+        tent = _tent(k, s, tau, t)
+        if tent is not None:
+            lim, below = tent
+            out[c * r < lim] = c ** 4 - 3.0 * k if below else c ** 4 + 3.0 * k
         return out
 
-    spec = BarrierSpec("gamma_sub_cone", anchor, eps,
+    spec = BarrierSpec("gamma_sub_cone", (tuple(y), s), eps,
                        {"k": k, "c": c, "tau": tau, "delta": delta,
                         "log_glue": log_glue})
     # defining relations (checked):
@@ -333,107 +325,25 @@ def make_gamma_sub_cone(y, s, eps, bd, grid):
     return Barrier(spec, "sub", evaluate, region_residual)
 
 
-# ---------------------------------------------------------------------------
-# Part 2: super-solutions
-# ---------------------------------------------------------------------------
-
-def make_alpha_sup(y, eps, bd, grid):
-    """Super barrier anchored at an interior point at t = 0."""
-    if bd.M is None:
-        raise BarrierError("sample_boundary_data must run before barriers")
-    dom = grid.domain
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not dom.contains(y[None, :])[0]:
-        raise BarrierError("alpha anchor must be interior")
-    fy = float(bd.f(y[None, :])[0])
-    anchor = (tuple(y), 0.0)
-    if fy >= bd.M * (1.0 - 1e-12):
-        return _constant_barrier("alpha_sup", anchor, eps, bd.M, "super")
-    dist = float(dom.boundary_distance(y[None, :])[0])
-    delta, _ = _modulus_backoff(grid, bd, y, 0.0, fy, eps,
-                                0.98 * dist, grid.T)
-    center = fy + 2.0 * eps
-    glue = bd.M + 2.0 * eps
-    lam = _pin_growing_lambda(delta, center, glue)
-    prof = growing_profile(delta, lam, center)
-
-    def evaluate(pts, t, y=y, prof=prof, lam=lam, delta=delta, glue=glue):
-        r = np.linalg.norm(pts - y, axis=1)
-        base = np.full(len(pts), glue)
-        inside = r <= delta
-        if inside.any():
-            base[inside] = np.minimum(prof.eval(r[inside]), glue)
-        return base * _exp_clip(lam * t / 3.0)
-
-    spec = BarrierSpec("alpha_sup", anchor, eps,
-                       {"lam": lam, "delta_ball": delta, "glue": glue,
-                        "center": center})
-    return Barrier(spec, "super", evaluate)
-
-
-def make_beta_sup(y, eps, bd, grid):
-    """Super barrier anchored at a boundary point at t = 0."""
-    if bd.M is None:
-        raise BarrierError("sample_boundary_data must run before barriers")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    fy = float(bd.f(y[None, :])[0])
-    anchor = (tuple(y), 0.0)
-    if fy >= bd.M * (1.0 - 1e-12):
-        return _constant_barrier("beta_sup", anchor, eps, bd.M, "super")
-    delta, tau = _modulus_backoff(grid, bd, y, 0.0, fy, eps,
-                                  0.5 * grid.domain.diameter(), grid.T)
-    center = fy + 2.0 * eps
-    glue = bd.M + 2.0 * eps
-    lam = _pin_growing_lambda(delta, center, glue)
-    k = max(lam, 3.0 / tau * math.log(glue / center))
-    prof = growing_profile(delta, lam, center)
-
-    def evaluate(pts, t, y=y, prof=prof, k=k, delta=delta, glue=glue):
-        r = np.linalg.norm(pts - y, axis=1)
-        base = np.full(len(pts), glue)
-        inside = r <= delta
-        if inside.any():
-            base[inside] = np.minimum(prof.eval(r[inside]), glue)
-        return base * _exp_clip(k * t / 3.0)
-
-    spec = BarrierSpec("beta_sup", anchor, eps,
-                       {"lam": lam, "k": k, "tau": tau, "delta_ball": delta,
-                        "glue": glue, "center": center})
-    return Barrier(spec, "super", evaluate)
-
-
 def make_gamma_sup_cusp(y, s, eps, bd, grid):
     """Super barrier at a lateral anchor (y, s): the cusp bump."""
-    if bd.M is None or bd.m is None:
-        raise BarrierError("sample_boundary_data must run before barriers")
-    if not 0.0 < s < grid.T:
-        raise BarrierError("gamma anchor needs 0 < s < T")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    hys = float(bd.g(y[None, :], s)[0])
-    anchor = (tuple(y), s)
-    if hys >= bd.M * (1.0 - 1e-12):
-        return _constant_barrier("gamma_sup_cusp", anchor, eps, bd.M, "super")
+    y, hys, flat, delta1, tau = _lateral_anchor("super", "gamma_sup_cusp", y,
+                                                s, eps, bd, grid)
+    if flat is not None:
+        return flat
     gam = math.log((bd.M + 2.0 * eps) / (bd.m + 2.0 * eps))
     nu = 1.0 / (1.0 + 2.0 * gam)
-    delta1, tau1 = _modulus_backoff(grid, bd, y, s, hys, eps,
-                                    0.5 * grid.domain.diameter(),
-                                    min(s, grid.T - s))
-    tau = tau1
     k = math.log((bd.M + 2.0 * eps) / (hys + 2.0 * eps)) / tau
     delta = min(delta1, nu * (k * k * tau ** 3 * gam / 3.0) ** 0.25)
     c = k * tau / delta ** nu
     log_top = math.log(bd.M + 2.0 * eps)
 
-    def evaluate(pts, t, y=y, s=s, k=k, c=c, nu=nu, tau=tau, delta=delta,
-                 log_top=log_top):
+    def evaluate(pts, t):
         r = np.linalg.norm(pts - y, axis=1)
         eta = np.full(len(pts), log_top)
-        if s <= t <= s + tau:
-            lim = k * (s + tau - t)
-            mask = (c * r ** nu <= lim) & (r <= delta)
-            eta[mask] = c * r[mask] ** nu - lim + log_top
-        elif s - tau <= t < s:
-            lim = k * (t - s + tau)
+        tent = _tent(k, s, tau, t)
+        if tent is not None:
+            lim = tent[0]
             mask = (c * r ** nu <= lim) & (r <= delta)
             eta[mask] = c * r[mask] ** nu - lim + log_top
         return np.exp(eta)
@@ -450,15 +360,14 @@ def make_gamma_sup_cusp(y, s, eps, bd, grid):
         pos = r > 0
         spatial[pos] = c ** 3 * nu ** 4 * r[pos] ** (3.0 * nu - 4.0) * (
             c * r[pos] ** nu - (1.0 - nu) / nu)
-        if s <= t <= s + tau:
-            mask = pos & (c * r ** nu < k * (s + tau - t)) & (r <= delta)
-            out[mask] = -3.0 * k + spatial[mask]
-        elif s - tau <= t < s:
-            mask = pos & (c * r ** nu < k * (t - s + tau)) & (r <= delta)
-            out[mask] = 3.0 * k + spatial[mask]
+        tent = _tent(k, s, tau, t)
+        if tent is not None:
+            lim, below = tent
+            mask = pos & (c * r ** nu < lim) & (r <= delta)
+            out[mask] = (3.0 * k if below else -3.0 * k) + spatial[mask]
         return out
 
-    spec = BarrierSpec("gamma_sup_cusp", anchor, eps,
+    spec = BarrierSpec("gamma_sup_cusp", (tuple(y), s), eps,
                        {"k": k, "c": c, "nu": nu, "tau": tau, "delta": delta,
                         "Gamma": gam, "log_top": log_top})
     assert 0.0 < nu < 1.0
@@ -497,26 +406,24 @@ class StaircaseBarrier:
                              f"[{self.times[0]}, {self.times[-1]}]")
         return min(k, self.n_slabs)
 
-    def eval(self, points, t):
-        k = self.slab_of(t)
+    def _psi_at(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts - self.center, axis=1)
-        psi_v = self.psi.eval(np.minimum(r, self.psi.R))
-        return psi_v * self.g_k(k, t) / 2.0 ** (k - 1)
+        return self.psi.eval(np.minimum(r, self.psi.R))
+
+    def eval(self, points, t):
+        k = self.slab_of(t)
+        return self._psi_at(points) * self.g_k(k, t) / 2.0 ** (k - 1)
 
     def envelope_at(self, points, k):
         """The bound psi(x)/2^k valid at time T_(k+1)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts - self.center, axis=1)
-        return self.psi.eval(np.minimum(r, self.psi.R)) / 2.0 ** k
+        return self._psi_at(points) / 2.0 ** k
 
     def slab_residual(self, points, t):
         """Closed-form Pi residual of the active slab (nonpositive)."""
         k = self.slab_of(t)
         t1, t2 = self.times[k - 1], self.times[k]
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts - self.center, axis=1)
-        psi_v = self.psi.eval(np.minimum(r, self.psi.R))
+        psi_v = self._psi_at(points)
         gk = self.g_k(k, t)
         e = math.exp(self.lam_bar * (t2 - t1) / 3.0)
         return (-self.lam_bar * psi_v ** 3 * gk ** 2
@@ -603,7 +510,6 @@ class MinmBump:
         """D_inf psi + sigma |D psi|^4 - 3 psi_t inside the ball."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r2 = np.sum((pts - self.y) ** 2, axis=1)
-        r = np.sqrt(r2)
         core = self.rho ** 2 - r2
         h = float(self.h_t(t))
         K = self.K
@@ -703,7 +609,6 @@ def make_asym01_barrier(z, L, lam, delta, domain):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     R_z = _farthest_distance(domain, z)
     K_z = L * max(R_z ** (-4.0 / 3.0), (lam * POWER_SIGMA) ** (1.0 / 3.0))
-    barrier = Asym01Barrier(z, float(delta), float(lam), float(L), R_z, K_z)
     # boundary extremes of R_z for the distance constant
     if domain.kind == "ball":
         r0 = r1 = 2.0 * domain.bounds[1]
@@ -722,10 +627,9 @@ def make_asym01_barrier(z, L, lam, delta, domain):
         r1 = float(np.linalg.norm(full))     # corners (the diameter)
     C = (4.0 * r1 ** (1.0 / 3.0) / 3.0) * max(
         r0 ** (-4.0 / 3.0), (lam * POWER_SIGMA) ** (1.0 / 3.0))
-    barrier_derived = {"K_z": K_z, "R_z": R_z, "R_0": r0, "R_1": r1,
-                       "C": C, "sigma": POWER_SIGMA}
-    barrier.derived = barrier_derived
-    return barrier
+    return Asym01Barrier(z, float(delta), float(lam), float(L), R_z, K_z,
+                         {"K_z": K_z, "R_z": R_z, "R_0": r0, "R_1": r1,
+                          "C": C, "sigma": POWER_SIGMA})
 
 
 @dataclass
@@ -807,22 +711,14 @@ def _space_adjacency(grid):
     return adj
 
 
-def _dilate(grid, vals, frozen):
+def _sweep(grid, vals, frozen, op):
+    """One space-time neighborhood reduction by op (np.maximum dilates,
+    np.minimum erodes) with the frozen entries restored."""
     adj = _space_adjacency(grid)
-    sp = np.max(vals[adj], axis=1)
+    sp = op.reduce(vals[adj], axis=1)
     out = sp.copy()
-    out[:, 1:] = np.maximum(out[:, 1:], sp[:, :-1])
-    out[:, :-1] = np.maximum(out[:, :-1], sp[:, 1:])
-    out[frozen] = vals[frozen]
-    return out
-
-
-def _erode(grid, vals, frozen):
-    adj = _space_adjacency(grid)
-    sp = np.min(vals[adj], axis=1)
-    out = sp.copy()
-    out[:, 1:] = np.minimum(out[:, 1:], sp[:, :-1])
-    out[:, :-1] = np.minimum(out[:, :-1], sp[:, 1:])
+    out[:, 1:] = op(out[:, 1:], sp[:, :-1])
+    out[:, :-1] = op(out[:, :-1], sp[:, 1:])
     out[frozen] = vals[frozen]
     return out
 
@@ -836,6 +732,20 @@ def _frozen_mask(grid):
     return frozen
 
 
+def _envelope(fld, max_sweeps, lift, other):
+    """Iterate v <- lift(v, other-sweep(lift-sweep(v))) to a fixed point."""
+    frozen = _frozen_mask(fld.grid)
+    vals = fld.values.copy()
+    for _ in range(max_sweeps):
+        cand = _sweep(fld.grid, _sweep(fld.grid, vals, frozen, lift),
+                      frozen, other)
+        new = lift(vals, cand)
+        if np.array_equal(new, vals):
+            break
+        vals = new
+    return GridField(fld.grid, vals, fld.variable_tag, dict(fld.meta))
+
+
 def usc_envelope(fld, max_sweeps=64):
     """Discrete upper semicontinuous envelope over the finest grid stencil.
 
@@ -844,90 +754,67 @@ def usc_envelope(fld, max_sweeps=64):
     lifts isolated downward spikes to their neighborhood sup, and leaves
     smoothly varying samples unchanged.
     """
-    frozen = _frozen_mask(fld.grid)
-    vals = fld.values.copy()
-    for _ in range(max_sweeps):
-        cand = _erode(fld.grid, _dilate(fld.grid, vals, frozen), frozen)
-        new = np.maximum(vals, cand)
-        if np.array_equal(new, vals):
-            break
-        vals = new
-    return GridField(fld.grid, vals, fld.variable_tag, dict(fld.meta))
+    return _envelope(fld, max_sweeps, np.maximum, np.minimum)
 
 
 def lsc_envelope(fld, max_sweeps=64):
     """Discrete lower semicontinuous envelope (dual of usc_envelope)."""
-    frozen = _frozen_mask(fld.grid)
-    vals = fld.values.copy()
-    for _ in range(max_sweeps):
-        cand = _dilate(fld.grid, _erode(fld.grid, vals, frozen), frozen)
-        new = np.minimum(vals, cand)
-        if np.array_equal(new, vals):
-            break
-        vals = new
-    return GridField(fld.grid, vals, fld.variable_tag, dict(fld.meta))
+    return _envelope(fld, max_sweeps, np.minimum, np.maximum)
 
 
 # ---------------------------------------------------------------------------
 # Perron families
 # ---------------------------------------------------------------------------
 
-def perron_family_sup(barrs, grid):
-    """Pointwise supremum of a finite sub-barrier family on the grid."""
+def _perron(barrs, grid, op, label):
     if not barrs:
         raise BarrierError("empty barrier family")
     vals = barrs[0].eval_field(grid).values
     for b in barrs[1:]:
-        vals = np.maximum(vals, b.eval_field(grid).values)
-    return GridField(grid, vals, "phi", {"perron": "sup",
+        vals = op(vals, b.eval_field(grid).values)
+    return GridField(grid, vals, "phi", {"perron": label,
                                          "family_size": len(barrs)})
+
+
+def perron_family_sup(barrs, grid):
+    """Pointwise supremum of a finite sub-barrier family on the grid."""
+    return _perron(barrs, grid, np.maximum, "sup")
 
 
 def perron_family_inf(barrs, grid):
     """Pointwise infimum of a finite super-barrier family on the grid."""
-    if not barrs:
-        raise BarrierError("empty barrier family")
-    vals = barrs[0].eval_field(grid).values
-    for b in barrs[1:]:
-        vals = np.minimum(vals, b.eval_field(grid).values)
-    return GridField(grid, vals, "phi", {"perron": "inf",
-                                         "family_size": len(barrs)})
+    return _perron(barrs, grid, np.minimum, "inf")
+
+
+def _build_family(makers, grid, bd, eps, space_stride, time_stride,
+                  interior_stride):
+    alpha, beta, gamma = makers
+    fam = [alpha(grid.sample_pos[i], eps, bd, grid)
+           for i in grid.interior_idx[::interior_stride]]
+    fam += [beta(grid.sample_pos[i], eps, bd, grid)
+            for i in grid.boundary_idx[::space_stride]]
+    for j in range(1, grid.time_levels - 1, time_stride):
+        fam += [gamma(grid.sample_pos[i], grid.t[j], eps, bd, grid)
+                for i in grid.boundary_idx[::space_stride]]
+    return fam
 
 
 def build_sub_family(grid, bd, eps, space_stride=1, time_stride=4,
                      interior_stride=4):
     """Anchors on a P_T net: alpha at strided interior nodes (t=0), beta at
     boundary nodes (t=0), cones at strided lateral node-levels."""
-    fam = []
-    for i in grid.interior_idx[::interior_stride]:
-        fam.append(make_alpha_sub(grid.sample_pos[i], eps, bd, grid))
-    for i in grid.boundary_idx[::space_stride]:
-        fam.append(make_beta_sub(grid.sample_pos[i], eps, bd, grid))
-    for j in range(1, grid.time_levels - 1, time_stride):
-        s = grid.t[j]
-        if not 0.0 < s < grid.T:
-            continue
-        for i in grid.boundary_idx[::space_stride]:
-            fam.append(make_gamma_sub_cone(grid.sample_pos[i], s, eps, bd,
-                                           grid))
-    return fam
+    return _build_family((make_alpha_sub, make_beta_sub, make_gamma_sub_cone),
+                         grid, bd, eps, space_stride, time_stride,
+                         interior_stride)
 
 
 def build_sup_family(grid, bd, eps, space_stride=1, time_stride=4,
                      interior_stride=4):
-    fam = []
-    for i in grid.interior_idx[::interior_stride]:
-        fam.append(make_alpha_sup(grid.sample_pos[i], eps, bd, grid))
-    for i in grid.boundary_idx[::space_stride]:
-        fam.append(make_beta_sup(grid.sample_pos[i], eps, bd, grid))
-    for j in range(1, grid.time_levels - 1, time_stride):
-        s = grid.t[j]
-        if not 0.0 < s < grid.T:
-            continue
-        for i in grid.boundary_idx[::space_stride]:
-            fam.append(make_gamma_sup_cusp(grid.sample_pos[i], s, eps, bd,
-                                           grid))
-    return fam
+    """The super mirror of build_sub_family, with cusps at the lateral
+    anchors."""
+    return _build_family((make_alpha_sup, make_beta_sup, make_gamma_sup_cusp),
+                         grid, bd, eps, space_stride, time_stride,
+                         interior_stride)
 
 
 def barrier_catalog_json(barrs, path=None):
@@ -971,8 +858,7 @@ def jet_touch_test(fld, node, level, kind="sub", tol=1e-7):
     for i in ring1:
         ring2.update(adj[i])
     nodes = sorted(ring2 | ring1 | {node})
-    levels = [j for j in range(max(0, level - 2),
-                               min(grid.time_levels, level + 3))]
+    levels = range(max(0, level - 2), min(grid.time_levels, level + 3))
     x0 = grid.sample_pos[node]
     t0 = grid.t[level]
     w0 = fld.values[node, level]

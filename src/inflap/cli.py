@@ -32,9 +32,12 @@ import numpy as np
 
 from . import __version__, harness, radial, solver
 from . import barriers as bar
-from .catalog import catalog_entries, make_data
-from .grids import Domain, build_grid, field_to_csv, grid_to_json
+from .catalog import CATALOG, catalog_entries, make_data
+from .grids import (BoundaryData, DataError, Domain, GridConfigError,
+                    build_grid, field_to_csv, grid_to_json,
+                    sample_boundary_data)
 from .quadrature import QuadratureError
+from .radial import RadialParameterError
 
 
 class ConfigError(ValueError):
@@ -50,11 +53,37 @@ def _domain_from(cfg):
     if kind == "interval":
         return Domain.interval(cfg.get("a", -1.0), cfg.get("b", 1.0))
     if kind == "box":
+        if "bounds" not in cfg:
+            raise ConfigError("domain kind 'box' needs 'bounds'")
         return Domain.box(cfg["bounds"])
     if kind == "ball":
         return Domain.ball(cfg.get("center", [0.0, 0.0]),
                            cfg.get("radius", 1.0))
     raise ConfigError(f"unknown domain kind {kind!r}")
+
+
+def _grid_and_data(cfg, h, T, time_levels, data):
+    """Grid and sampled boundary data of an experiment config; the
+    arguments are the defaults of its grid keys and data name.  A problem
+    in the domain, grid or data table is a ConfigError that names it."""
+    gcfg = cfg.get("grid", {})
+    try:
+        grid = build_grid(_domain_from(cfg.get("domain", {})),
+                          gcfg.get("h", h), gcfg.get("T", T),
+                          gcfg.get("time_levels", time_levels))
+    except GridConfigError as e:
+        raise ConfigError(f"domain/grid: {e}") from e
+    data_cfg = cfg.get("data", {"name": data})
+    name = data_cfg.get("name", data)
+    if name not in CATALOG:
+        raise ConfigError(f"unknown data name {name!r}; "
+                          f"available: {sorted(CATALOG)}")
+    try:
+        bd = make_data(name, data_cfg.get("params"))
+        sample_boundary_data(bd, grid)
+    except (DataError, RadialParameterError) as e:
+        raise ConfigError(f"data {name!r}: {e}") from e
+    return grid, bd
 
 
 def _solver_config(cfg):
@@ -138,13 +167,8 @@ class Emitter:
 # ---------------------------------------------------------------------------
 
 def _exp_decay(cfg, em, rng):
-    dom = _domain_from(cfg.get("domain", {}))
-    gcfg = cfg.get("grid", {})
-    grid = build_grid(dom, gcfg.get("h", 0.05), gcfg.get("T", 4.0),
-                      gcfg.get("time_levels", 81))
-    data_cfg = cfg.get("data", {"name": "eigen-profile"})
-    bd = make_data(data_cfg.get("name", "eigen-profile"),
-                   data_cfg.get("params"))
+    grid, bd = _grid_and_data(cfg, 0.05, 4.0, 81, "eigen-profile")
+    dom = grid.domain
     scfg = _solver_config(cfg.get("solver", {"variable": "phi",
                                              "summarize_residual": False}))
     res = solver.solve(grid, bd, scfg)
@@ -176,13 +200,7 @@ def _exp_decay(cfg, em, rng):
 
 
 def _exp_sandwich(cfg, em, rng):
-    dom = _domain_from(cfg.get("domain", {}))
-    gcfg = cfg.get("grid", {})
-    grid = build_grid(dom, gcfg.get("h", 0.1), gcfg.get("T", 0.5),
-                      gcfg.get("time_levels", 11))
-    data_cfg = cfg.get("data", {"name": "gaussian-bump"})
-    bd = make_data(data_cfg.get("name", "gaussian-bump"),
-                   data_cfg.get("params"))
+    grid, bd = _grid_and_data(cfg, 0.1, 0.5, 11, "gaussian-bump")
     rep = harness.check_sandwich(
         grid, bd, _solver_config(cfg.get("solver", {})),
         eps_fracs=tuple(cfg.get("eps_fracs", (0.1, 0.03, 0.01))),
@@ -193,18 +211,9 @@ def _exp_sandwich(cfg, em, rng):
 
 
 def _exp_comparison(cfg, em, rng):
-    from .grids import BoundaryData, sample_boundary_data
-
-    dom = _domain_from(cfg.get("domain", {}))
-    gcfg = cfg.get("grid", {})
-    grid = build_grid(dom, gcfg.get("h", 0.1), gcfg.get("T", 0.4),
-                      gcfg.get("time_levels", 6))
+    grid, bd = _grid_and_data(cfg, 0.1, 0.4, 6, "gaussian-bump")
     n_barrier = int(cfg.get("barrier_pairs", 10))
     n_solver = int(cfg.get("solver_pairs", 5))
-    data_cfg = cfg.get("data", {"name": "gaussian-bump"})
-    bd = make_data(data_cfg.get("name", "gaussian-bump"),
-                   data_cfg.get("params"))
-    sample_boundary_data(bd, grid)
     eps = 0.05 * (bd.M - bd.m)
     worst = -np.inf
     count = 0
@@ -348,7 +357,7 @@ def run(config_path, out_dir=None, seed=None):
     rng = np.random.default_rng(seed)
     try:
         _BODIES[cfg["experiment"]](cfg, em, rng)
-    except (ConfigError, KeyError, QuadratureError) as e:
+    except (ConfigError, QuadratureError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 2
     failed = em.finish(cfg, seed)

@@ -35,6 +35,7 @@ __all__ = [
     "build_grid",
     "classify_parabolic_boundary",
     "sample_boundary_data",
+    "sample_datum",
     "grid_to_json",
     "field_to_csv",
 ]
@@ -417,6 +418,17 @@ class BoundaryData:
         return np.asarray(self.g(points, tval), dtype=float)
 
 
+def sample_datum(bd, grid):
+    """h at the stored boundary samples, (N, L): f on the initial slab, g
+    at ring nodes on later levels (t = T included), NaN elsewhere."""
+    vals = np.full((grid.n_nodes, grid.time_levels), np.nan)
+    vals[:, 0] = bd.f(grid.sample_pos)
+    bpts = grid.sample_pos[grid.boundary_idx]
+    for j in range(1, grid.time_levels):
+        vals[grid.boundary_idx, j] = bd.g(bpts, grid.t[j])
+    return vals
+
+
 def sample_boundary_data(bd, grid, continuity_tol=1e-6):
     """Sample h on P_T; returns a GridField that is NaN off P_T.
 
@@ -425,12 +437,7 @@ def sample_boundary_data(bd, grid, continuity_tol=1e-6):
     f and g disagree at the lateral boundary at t = 0.
     """
     cls = classify_parabolic_boundary(grid)
-    vals = np.full((grid.n_nodes, grid.time_levels), np.nan)
-    vals[:, 0] = bd.f(grid.sample_pos)
-    bidx = grid.boundary_idx
-    bpts = grid.sample_pos[bidx]
-    for j in range(1, grid.time_levels):
-        vals[bidx, j] = bd.g(bpts, grid.t[j])
+    vals = sample_datum(bd, grid)
     samples = vals[cls.pt_mask]
     m = float(np.min(samples))
     M = float(np.max(samples))
@@ -441,6 +448,8 @@ def sample_boundary_data(bd, grid, continuity_tol=1e-6):
             + ("" if bd.zero_lateral_ok else
                "; pass zero_lateral_ok for decay experiments")
         )
+    bidx = grid.boundary_idx
+    bpts = grid.sample_pos[bidx]
     g0 = bd.g(bpts, 0.0)
     f0 = bd.f(bpts)
     gap = float(np.max(np.abs(g0 - f0))) if bidx.size else 0.0

@@ -80,17 +80,17 @@ def _make(property_id, margin, tol, n, vacuous=False, **details):
 
 
 def _field_band(fld):
-    """Residual band of a field (used as the tolerance unit)."""
+    """Residual band of a field (used as the tolerance unit) and None, or
+    the heuristic band and the reason no residual could be formed."""
     try:
         if fld.variable_tag == "phi" and np.all(
                 fld.values[np.isfinite(fld.values)] > 0):
             rep = transforms.residual_Gamma(transforms.to_eta(fld))
         else:
             rep = transforms.residual_Pi(fld)
-        return rep.band
-    except Exception:
-        scale = 1.0 + float(np.nanmax(np.abs(fld.values)))
-        return 10.0 * (fld.grid.h + fld.grid.dt_level) * scale ** 3
+        return rep.band, None
+    except transforms.TransformError as e:
+        return transforms.heuristic_band(fld.grid, fld.values), str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +130,18 @@ def check_comparison(u_fld, v_fld, tol=None, ratio_mode=False):
     grid = u_fld.grid
     cls = classify_parabolic_boundary(grid)
     pt = cls.pt_mask
+    fallback = {}
     if tol is None:
-        tol = max(_field_band(u_fld), _field_band(v_fld)) + 1e-12
+        bands = [_field_band(u_fld), _field_band(v_fld)]
+        tol = max(band for band, _ in bands) + 1e-12
+        reasons = [why for _, why in bands if why]
+        if reasons:
+            fallback["band_fallback"] = reasons
     pre_gap = float(np.nanmax((u_fld.values - v_fld.values)[pt]))
     if pre_gap > tol:
         return _make("comparison", np.nan, tol, 0, vacuous=True,
                      skipped="precondition u <= v on P_T fails",
-                     precondition_gap=pre_gap)
+                     precondition_gap=pre_gap, **fallback)
     if ratio_mode:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = u_fld.values / v_fld.values
@@ -145,9 +150,11 @@ def check_comparison(u_fld, v_fld, tol=None, ratio_mode=False):
         margin = float(inner_sup - pt_sup)
         rtol = tol / max(float(np.nanmin(np.abs(v_fld.values))), 1e-12)
         return _make("comparison_ratio", margin, rtol, 1,
-                     pt_sup=float(pt_sup), inner_sup=float(inner_sup))
+                     pt_sup=float(pt_sup), inner_sup=float(inner_sup),
+                     **fallback)
     margin = float(np.nanmax(u_fld.values - v_fld.values))
-    return _make("comparison", margin, tol, 1, precondition_gap=pre_gap)
+    return _make("comparison", margin, tol, 1, precondition_gap=pre_gap,
+                 **fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ __all__ = [
     "to_phi",
     "residual_Pi",
     "residual_Gamma",
+    "heuristic_band",
     "make_separable",
     "log_inequality_check",
     "LogIneqResult",
@@ -226,6 +227,13 @@ def _clean_rows(grid):
     )
 
 
+def heuristic_band(grid, vals):
+    """10 (h + dt) (1 + max |vals|)^3, the residual band used where no
+    h-versus-2h band can be formed."""
+    scale = 1.0 + float(np.nanmax(np.abs(vals)))
+    return 10.0 * (grid.h + grid.dt_level) * scale ** 3
+
+
 def _make_report(grid, vals, tag, sigma):
     res = _residual_core(grid, vals, tag, sigma)
     clean = _clean_rows(grid)
@@ -247,8 +255,7 @@ def _make_report(grid, vals, tag, sigma):
     if np.any(usable):
         band = float(np.max(band_nodes[usable]))
     else:
-        scale = 1.0 + float(np.nanmax(np.abs(vals)))
-        band = 10.0 * (grid.h + grid.dt_level) * scale ** 3 + 1e-13
+        band = heuristic_band(grid, vals) + 1e-13
     return ResidualReport(tag, res, sup, band, band_nodes, clean, onesided,
                           sigma)
 

@@ -116,16 +116,40 @@ class TestCatalogPinsAndDomination:
                           g=lambda x, t: 1.0 + 0.5 * x[:, 0])
         sample_boundary_data(bd, g)
         eps = 0.05 * (bd.M - bd.m)
-        b = B.make_beta_sub(np.array([1.0]), eps, bd, g)
-        assert not b.spec.constant
-        d = b.spec.derived
-        fy = float(bd.f(np.array([[1.0]]))[0])
-        k_eq = 3.0 / d["tau"] * np.log((fy - 2 * eps) / (bd.m - 2 * eps))
-        assert d["k"] >= d["lam"] - 1e-12
-        assert d["k"] >= k_eq - 1e-12
-        if d["k"] == pytest.approx(k_eq):
-            v = float(b.eval(np.array([[1.0]]), d["tau"])[0])
-            assert abs(v - (bd.m - 2 * eps)) < 1e-9
+        # the super mirror rises from its center to M + 2 eps by time tau
+        for maker, y, glue in ((B.make_beta_sub, 1.0, bd.m - 2 * eps),
+                               (B.make_beta_sup, 0.0, bd.M + 2 * eps)):
+            b = maker(np.array([y]), eps, bd, g)
+            assert not b.spec.constant
+            d = b.spec.derived
+            fy = float(bd.f(np.array([[y]]))[0])
+            center = fy - 2 * eps if b.kind == "sub" else fy + 2 * eps
+            k_eq = 3.0 / d["tau"] * abs(np.log(center / glue))
+            assert d["k"] >= d["lam"] - 1e-12
+            assert d["k"] >= k_eq - 1e-12
+            if d["k"] == pytest.approx(k_eq):
+                v = float(b.eval(np.array([[y]]), d["tau"])[0])
+                assert abs(v - glue) < 1e-9
+
+    def test_anchor_rejections(self, setup_1d):
+        g, bd, _, eps = setup_1d
+        for maker in (B.make_alpha_sub, B.make_alpha_sup):
+            with pytest.raises(B.BarrierError, match="interior"):
+                maker(np.array([0.0]), eps, bd, g)
+        for maker in (B.make_gamma_sub_cone, B.make_gamma_sup_cusp):
+            for s in (0.0, g.T, -0.1, 0.7):
+                with pytest.raises(B.BarrierError, match="0 < s < T"):
+                    maker(np.array([0.0]), s, eps, bd, g)
+
+    def test_cusp_constant_where_lateral_datum_is_max(self, setup_1d):
+        g, *_ = setup_1d
+        bd = BoundaryData(f=lambda x: 2.0 - 0.5 * np.sin(np.pi * x[:, 0]),
+                          g=lambda x, t: np.full(len(x), 2.0))
+        sample_boundary_data(bd, g)
+        b = B.make_gamma_sup_cusp(np.array([1.0]), 0.25, 0.01, bd, g)
+        assert b.spec.constant and b.spec.derived == {"value": bd.M}
+        assert bd.M == 2.0
+        assert np.all(b.eval(g.sample_pos, 0.3) == 2.0)
 
 
 class TestRegionResiduals:
@@ -353,6 +377,15 @@ class TestEnvelopes:
         np.testing.assert_allclose(lo2.values, lo1.values, atol=1e-14)
         assert np.all(up1.values >= vals - 1e-15)
         assert np.all(lo1.values <= vals + 1e-15)
+
+    def test_lsc_is_the_mirror_of_usc(self):
+        g = build_grid(Domain.interval(0.0, 1.0), 0.1, 0.5, 6)
+        vals = np.exp(np.random.default_rng(22).normal(
+            size=(g.n_nodes, g.time_levels)))
+        lo = B.lsc_envelope(GridField(g, vals, "phi"))
+        up = B.usc_envelope(GridField(g, -vals, "phi"))
+        assert not np.array_equal(lo.values, vals)
+        assert np.array_equal(lo.values, -up.values)
 
 
 class TestPerronFamilies:

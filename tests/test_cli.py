@@ -75,8 +75,32 @@ class TestRunner:
                 "out_dir": str(tmp_path / "out")})
             assert cli.run(stale) == 2
             assert key in capsys.readouterr().err
+        for table, problem in (
+                ({"grid": {"h": 0.3}}, "does not tile"),
+                ({"grid": {"time_levels": 1}}, "2 time levels"),
+                ({"data": {"name": "constant", "params": {"value": -1}}},
+                 "must be positive"),
+                ({"data": {"name": "eigen-profile", "params": {"R": -1}}},
+                 "radius must be positive"),
+                ({"domain": {"kind": "box"}}, "'bounds'")):
+            broken = self.write_cfg(tmp_path, {
+                "experiment": "decay", **table,
+                "out_dir": str(tmp_path / "out")})
+            assert cli.run(broken) == 2
+            assert problem in capsys.readouterr().err
         # no partial artifact tree with a summary is produced
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_error_inside_an_experiment_propagates(self, tmp_path,
+                                                   monkeypatch):
+        def body(cfg, em, rng):
+            raise KeyError("bug")
+
+        monkeypatch.setitem(cli._BODIES, "growth-bounds", body)
+        cfg = self.write_cfg(tmp_path, {"experiment": "growth-bounds",
+                                        "out_dir": str(tmp_path / "out")})
+        with pytest.raises(KeyError, match="bug"):
+            cli.run(cfg)
 
     def test_growth_bounds_experiment(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {

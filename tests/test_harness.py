@@ -5,7 +5,7 @@ import pytest
 
 from inflap import barriers as B
 from inflap import harness as H
-from inflap import radial, solver
+from inflap import radial, solver, transforms
 from inflap.grids import (
     BoundaryData,
     Domain,
@@ -66,6 +66,19 @@ class TestComparison:
         hi.values -= 1.0  # now u > v on P_T
         rep = H.check_comparison(res.field, hi, tol=1e-9)
         assert rep.vacuous and "precondition" in rep.details["skipped"]
+
+    def test_two_level_grid_takes_the_heuristic_band(self):
+        # no time derivative on two levels, so no residual band: the
+        # heuristic band of transforms stands in and the reason is recorded
+        g = build_grid(Domain.interval(0, 1), 0.1, 0.3, 2)
+        lo = GridField.from_function(g, lambda x, t: 1.0 + x[:, 0])
+        hi = GridField.from_function(g, lambda x, t: 2.0 + x[:, 0])
+        rep = H.check_comparison(lo, hi)
+        assert rep.passed
+        assert rep.tolerance == transforms.heuristic_band(g, hi.values) \
+            + 1e-12
+        assert rep.details["band_fallback"] == [
+            "need at least 3 time levels for eta_t"] * 2
 
     def test_ratio_mode_stationary_eigenfunction(self):
         # eigen-decay solve vs the time-frozen eigenfunction (a strict
