@@ -73,7 +73,18 @@ def _growing_profile_trace(params):
         r = np.linalg.norm(x - center[: x.shape[1]], axis=1)
         return prof.eval(np.minimum(r, R))
 
-    return BoundaryData(f=u, g=lambda x, t: u(x) * np.exp(lam * t / 3.0))
+    # the solver asks for g at the same ring points on every substep, so
+    # u is kept for the last point set.  The match is by shape and value,
+    # never by identity: a caller may mutate its point array in place.
+    last_x, last_u = None, None
+
+    def g(x, t):
+        nonlocal last_x, last_u
+        if last_x is None or not np.array_equal(last_x, x):
+            last_x, last_u = x.copy(), u(x)
+        return last_u * np.exp(lam * t / 3.0)
+
+    return BoundaryData(f=u, g=g)
 
 
 def _decaying_lateral(params):

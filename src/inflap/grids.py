@@ -194,6 +194,10 @@ class CylinderGrid:
         self.dmin = np.min(self.nbr_dist, axis=1)    # (Ni,) shortest arm
         # (K, Ni) d^(4/3), the distance scale of the solver's cusp branch
         self.nbr_dist43 = self.nbr_dist.T ** (4.0 / 3.0)
+        # neighbor-table columns of +e_i and of -e_i, one per axis
+        axes = np.eye(self.dim, dtype=int)
+        self.axis_columns = ([self.offset_column(e) for e in axes],
+                             [self.offset_column(-e) for e in axes])
 
 
 @dataclass
@@ -430,7 +434,12 @@ def sample_datum(bd, grid):
 
 
 def sample_boundary_data(bd, grid, continuity_tol=1e-6):
-    """Sample h on P_T; returns a GridField that is NaN off P_T.
+    """Sample h on P_T; returns a GridField laid out as sample_datum's.
+
+    That field holds f at t = 0 and g at the ring nodes at every level,
+    t = T included, and is NaN elsewhere.  The ring nodes at t = T are not
+    in P_T, so callers that want P_T alone mask with
+    classify_parabolic_boundary(grid).pt_mask.
 
     Records m = inf and M = sup of the samples on bd.  Raises DataError if
     any sample is nonpositive (zero allowed when bd.zero_lateral_ok) or if

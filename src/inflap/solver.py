@@ -54,8 +54,9 @@ directly against the exact separable solutions in the acceptance suite.
 One kernel serves the stepper, the CFL rule and the monotone
 discrete_infinity_laplacian.  It reads the neighbor tables one stencil
 column at a time (a C-contiguous row of nbr_index.T), so every operation
-is elementwise over the interior nodes; solve() advances one in-place
-state array and rewrites the lateral ring after each step.
+is elementwise over the interior nodes; the cusp extremes are taken
+afterwards, on the discrete-extremum rows only.  solve() gathers the
+interior once per in-place step and rewrites the lateral ring after it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import GridField
+from .grids import GridField, sample_boundary_data
 from . import transforms
 
 __all__ = [
@@ -123,55 +124,50 @@ class SolveResult:
 CUSP = 64.0 / 81.0  # D_inf(u0 - c r^(4/3)) -> -(64/81) c^3 at the origin
 
 
-def _monotone_parts(grid, vals):
+def _monotone_parts(grid, vals, c):
     """Monotone D_inf estimate and its center-sensitivity bound.
 
-    Returns (dinf, g, coef_c, axis_slopes): the wide-stencil minmax
-    operator with the cusp-consistent branch at discrete local extrema,
-    the gradient magnitude estimate used for diffusivity capping, a
-    per-node bound on -d(dinf)/d(v_c) for the CFL rule, and the
-    (+e_i, -e_i) slope pair of every axis.  The loop runs over the K
-    stencil columns; strict comparisons keep the first column on ties,
-    as argmax/argmin would.
+    Returns (dinf, g, coef_c, axis_slopes) for c = vals[interior_idx]:
+    the wide-stencil minmax operator with the cusp-consistent branch at
+    discrete local extrema, the gradient magnitude estimate used for
+    diffusivity capping, a per-node bound on -d(dinf)/d(v_c) for the CFL
+    rule, and the (+e_i, -e_i) slope pair of every axis.  The loop runs
+    over the K stencil columns; strict comparisons keep the first column
+    on ties, as argmax/argmin would.  The cusp extremes of
+    (v_k - v_c) / d_k^(4/3) are then taken on the extremum rows only.
     """
-    c = vals[grid.interior_idx]
-    n_i = c.size
-    sp = np.full(n_i, -np.inf)
-    sm = np.full(n_i, np.inf)
-    dp = np.zeros(n_i)
-    dm = np.zeros(n_i)
-    qmax = np.full(n_i, -np.inf)   # extremes of (v_k - v_c) / d_k^(4/3)
-    qmin = np.full(n_i, np.inf)
-    plus, minus = transforms._axis_columns(grid)
+    plus, minus = grid.axis_columns
     slope = dict.fromkeys(plus + minus)
-    for k, (idx, dist, d43) in enumerate(
-            zip(grid.nbr_index.T, grid.nbr_dist.T, grid.nbr_dist43)):
-        diff = vals[idx] - c
-        s = diff / dist
+    for k, (idx, dist) in enumerate(zip(grid.nbr_index.T, grid.nbr_dist.T)):
+        s = vals[idx]
+        s -= c
+        s /= dist
+        if k in slope:
+            slope[k] = s
+        if k == 0:
+            sp, sm, dp, dm = s.copy(), s.copy(), dist.copy(), dist.copy()
+            continue
         up = s > sp
         np.copyto(sp, s, where=up)
         np.copyto(dp, dist, where=up)
         dn = s < sm
         np.copyto(sm, s, where=dn)
         np.copyto(dm, dist, where=dn)
-        q = diff / d43
-        np.maximum(qmax, q, out=qmax)
-        np.minimum(qmin, q, out=qmin)
-        if k in slope:
-            slope[k] = s
-    s2 = 2.0 * (sp + sm) / (dp + dm)
     g = np.maximum(np.maximum(sp, -sm), 0.0)
-    dinf = (0.5 * (sp - sm)) ** 2 * s2
-    coef_c = 2.0 * (0.5 * (sp - sm)) ** 2 / (dp * dm)
+    g2 = (0.5 * (sp - sm)) ** 2
+    dinf = g2 * (2.0 * (sp + sm) / (dp + dm))
+    coef_c = 2.0 * g2 / (dp * dm)
 
     # discrete maxima, then minima (a flat node is both; the minimum wins)
-    for sel, cusp_c, sign in ((sp <= 0.0, -qmin, -1.0),
-                              (sm >= 0.0, qmax, 1.0)):
-        if np.any(sel):
-            cusp_c = np.maximum(cusp_c[sel], 0.0)
-            dinf[sel] = sign * CUSP * cusp_c ** 3
-            coef_c[sel] = 3.0 * CUSP * cusp_c ** 2 / \
-                grid.dmin[sel] ** (4.0 / 3.0)
+    for rows, sign in ((np.flatnonzero(sp <= 0.0), -1.0),
+                       (np.flatnonzero(sm >= 0.0), 1.0)):
+        if rows.size:
+            q = vals[grid.nbr_index[rows]] - c[rows, None]
+            q /= grid.nbr_dist43[:, rows].T
+            cusp_c = np.maximum(np.max(sign * q, axis=1), 0.0)
+            dinf[rows] = sign * CUSP * cusp_c ** 3
+            coef_c[rows] = 3.0 * CUSP * cusp_c ** 2 / \
+                grid.dmin[rows] ** (4.0 / 3.0)
     return dinf, g, coef_c, [(slope[p], slope[m]) for p, m in zip(plus, minus)]
 
 
@@ -183,7 +179,7 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     residual work).  Returns an array over grid.interior_idx.
     """
     if mode == "monotone_minmax":
-        return _monotone_parts(grid, vals)[0]
+        return _monotone_parts(grid, vals, vals[grid.interior_idx])[0]
     if mode == "centered_diagnostic":
         dinf, _ = transforms._infinity_laplacian_centered(
             grid, vals, grid.h, grid.nbr_index)
@@ -191,18 +187,21 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _rhs_and_coef(grid, vals, config, cap):
+def _rhs_and_coef(grid, vals, config, cap, c=None):
     """Monotone right-hand side dv/dt and the CFL coefficient, one pass.
 
     Returns (rhs over interior rows, coef: per-node bound on -d(rhs)/d(v_c)
     scaled so that dt <= cfl / max(coef) keeps the update non-decreasing
-    in the center value).  With coef_c from _monotone_parts,
+    in the center value); c is vals[interior_idx] if the caller has it.
+    With coef_c from _monotone_parts,
     eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
     phi mode:  coef = coef_c / (3 max(phi, floor)^2),
     where the gradient cap, when set, scales coef_c down and clips Q.
     """
     tiny = 1e-300
-    dinf, g, coef_c, axis_slopes = _monotone_parts(grid, vals)
+    if c is None:
+        c = vals[grid.interior_idx]
+    dinf, g, coef_c, axis_slopes = _monotone_parts(grid, vals, c)
     if config.variable == "eta":
         # axiswise upwind |D eta|^2 estimate (monotone in neighbor values)
         q2 = np.zeros_like(dinf)
@@ -218,7 +217,7 @@ def _rhs_and_coef(grid, vals, config, cap):
         rhs = (dinf + q2 * q2) / 3.0
         coef = (coef_c + 4.0 * math.sqrt(grid.dim) * q3 / grid.dmin) / 3.0
         return rhs, coef
-    phi_safe = np.maximum(vals[grid.interior_idx], config.positivity_floor)
+    phi_safe = np.maximum(c, config.positivity_floor)
     fac = 1.0 / (phi_safe * phi_safe)
     if cap is not None:
         r = g / phi_safe
@@ -253,8 +252,6 @@ def solve(grid, bd, config=None):
     StiffnessError if dt collapses.
     """
     config = config or SolverConfig()
-    from .grids import sample_boundary_data
-
     sample_boundary_data(bd, grid)  # validates positivity/continuity; sets m, M
     cap = _resolve_cap(grid, bd, config)
 
@@ -279,10 +276,12 @@ def solve(grid, bd, config=None):
         t_now = grid.t[j - 1]
         t_target = grid.t[j]
         while t_now < t_target - 1e-14 * grid.T:
-            rhs, coef = _rhs_and_coef(grid, work, config, cap)
+            c = work[ii]
+            rhs, coef = _rhs_and_coef(grid, work, config, cap, c)
             dt = config.cfl / max(float(np.max(coef)), 1e-300)
             dt = min(dt, t_target - t_now)
-            work[ii] += dt * rhs
+            c += dt * rhs
+            work[ii] = c
             work[bidx] = to_variable(bd.g(bpts, t_now + dt))
             if dt < 1e-13 * grid.T:
                 raise StiffnessError(
@@ -290,7 +289,7 @@ def solve(grid, bd, config=None):
                     "the problem is too stiff for the explicit scheme"
                 )
             if not eta:
-                wmin = float(np.min(work[ii]))
+                wmin = float(np.min(c))
                 if wmin < floor:
                     if bd.zero_lateral_ok:
                         np.clip(work, 0.0, None, out=work)

@@ -68,15 +68,6 @@ def to_phi(fld):
 # centered discrete operators
 # ---------------------------------------------------------------------------
 
-def _axis_columns(grid):
-    n = grid.dim
-    plus = [grid.offset_column(tuple(int(i == ax) for i in range(n)))
-            for ax in range(n)]
-    minus = [grid.offset_column(tuple(-int(i == ax) for i in range(n)))
-             for ax in range(n)]
-    return plus, minus
-
-
 def _diag_columns(grid, ax_i, ax_j):
     n = grid.dim
 
@@ -112,7 +103,7 @@ def _infinity_laplacian_centered(grid, level_vals, spacing, nbr):
     Returns (delta_inf, grad_sq) over interior rows.
     """
     n = grid.dim
-    plus, minus = _axis_columns(grid)
+    plus, minus = grid.axis_columns
     c = level_vals[grid.interior_idx]
     vp = [level_vals[nbr[:, plus[a]]] for a in range(n)]
     vm = [level_vals[nbr[:, minus[a]]] for a in range(n)]

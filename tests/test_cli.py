@@ -31,6 +31,28 @@ class TestCatalog:
             np.testing.assert_allclose(bd.g(x, t),
                                        2.0 * np.exp(-1.5 * t), rtol=1e-15)
 
+    def test_growing_trace_lateral_matches_uncached(self):
+        # g keeps u for the last point set; every call must still equal
+        # u(x) e^{lam t/3} with u evaluated afresh, bit for bit
+        lam = 1.3
+        bd = make_data("growing-profile-trace",
+                       {"lam": lam, "center": [0.0, 0.0]})
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-0.7, 0.7, (6, 2))
+        b = rng.uniform(-0.7, 0.7, (6, 2))
+        short = a[:4].copy()
+        moving = a.copy()
+        calls = [(a, 0.0), (b, 0.3), (a, 0.3), (a, 0.9), (short, 0.9),
+                 (moving, 0.2), (moving, 0.4)]
+        for x, t in calls:
+            assert np.array_equal(bd.g(x, t),
+                                  bd.f(x.copy()) * np.exp(lam * t / 3.0))
+            moving[1, 0] += 0.05   # same array object, new values
+        for t in (0.1, 0.5):
+            assert np.array_equal(bd.g(moving, t),
+                                  bd.f(moving.copy()) * np.exp(lam * t / 3.0))
+            moving *= 0.9
+
     def test_eigen_profile_zero_lateral(self):
         bd = make_data("eigen-profile", {"R": 1.0, "m": 2.0})
         assert bd.zero_lateral_ok

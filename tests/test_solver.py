@@ -270,7 +270,8 @@ def kernel_inputs(draw):
 
 
 def argmax_reference(grid, vals):
-    """(dinf, g, coef_c) of the monotone kernel in row-major argmax form."""
+    """(dinf, g, coef_c, axis slope pairs) of the monotone kernel in
+    row-major argmax form."""
     nbr = vals[grid.nbr_index]
     c = vals[grid.interior_idx][:, None]
     slopes = (nbr - c) / grid.nbr_dist
@@ -288,16 +289,46 @@ def argmax_reference(grid, vals):
         cusp = np.maximum(cusp[sel], 0.0)
         dinf[sel] = sign * solver.CUSP * cusp ** 3
         coef[sel] = 3.0 * solver.CUSP * cusp ** 2 / dmin43[sel]
-    return dinf, g, coef
+    axes = np.eye(grid.dim, dtype=int)
+    pairs = [(slopes[:, grid.offset_column(e)],
+              slopes[:, grid.offset_column(-e)]) for e in axes]
+    return dinf, g, coef, pairs
+
+
+def assert_kernel_matches_reference(grid, vals):
+    dinf, g, coef, pairs = solver._monotone_parts(
+        grid, vals, vals[grid.interior_idx])
+    ref = argmax_reference(grid, vals)
+    for a, b in zip((dinf, g, coef), ref[:3]):
+        assert np.array_equal(a, b)
+    assert len(pairs) == len(ref[3]) == grid.dim
+    for (up, dn), (ref_up, ref_dn) in zip(pairs, ref[3]):
+        assert np.array_equal(up, ref_up) and np.array_equal(dn, ref_dn)
 
 
 @given(kernel_inputs())
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_argmax_reference(inputs):
     g, _, vals, _ = inputs
-    got = solver._monotone_parts(g, vals)[:3]
-    for a, b in zip(got, argmax_reference(g, vals)):
-        assert np.array_equal(a, b)
+    assert_kernel_matches_reference(g, vals)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+@pytest.mark.parametrize("pattern", ["linear", "checkerboard"])
+def test_kernel_extremum_rows(name, pattern):
+    # linear: no discrete extremum, so the cusp branch takes no row;
+    # checkerboard: every interior node is a discrete maximum or minimum
+    g = KERNEL_GRIDS[name]
+    if pattern == "linear":
+        vals = 2.0 + g.sample_pos @ np.linspace(0.3, 0.7, g.dim)
+    else:
+        parity = np.rint(g.pos / g.h).astype(int).sum(axis=1) % 2
+        vals = 1.0 + 0.5 * parity
+    slopes = (vals[g.nbr_index] - vals[g.interior_idx][:, None]) / g.nbr_dist
+    extremum = (slopes.max(axis=1) <= 0.0) | (slopes.min(axis=1) >= 0.0)
+    assert np.all(extremum) if pattern == "checkerboard" \
+        else not np.any(extremum)
+    assert_kernel_matches_reference(g, vals)
 
 
 @given(kernel_inputs())
