@@ -8,6 +8,14 @@ store a *projected* sample position on the sphere, and stencil distances
 to ring neighbors use the projected geometry (Shortley-Weller style,
 clamped away from zero).
 
+The build works on whole lattice arrays.  A ball point is interior when it
+lies inside and all 2n axis neighbours lie in the closure; the ring is the
+set of other points that the full 3^n - 1 stencil of an interior point
+reaches.  Both rules are shifted boolean masks over the lattice, padded by
+one point that counts as outside.  The lattice-shaped array ``node_of``
+holds the node number of each kept point (-1 elsewhere), so a stencil
+column is one gather at the flat indices ``flat_i + offset . strides``.
+
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Node-level
 pairs are classified once into {initial, lateral, interior}; the parabolic
 boundary P_T consists of the initial slab plus the lateral entries with
@@ -148,12 +156,12 @@ def _stencil_offsets(dim):
 class CylinderGrid:
     """Uniform lattice discretization of Omega x [0, T].
 
-    Read-only after construction; safe to share across workers.  Boundary
-    ("ring") nodes carry prescribed values at their projected sample
-    positions; every interior node has a full 3^n - 1 stencil whose entries
-    are interior or ring nodes.  The neighbor tables are stored in Fortran
-    order, so ``nbr_index.T`` and ``nbr_dist.T`` are C-contiguous (K, Ni)
-    views whose rows the solver reads one stencil column at a time.
+    Read-only after construction.  Boundary ("ring") nodes carry
+    prescribed values at their projected sample positions; every interior
+    node has a full 3^n - 1 stencil whose entries are interior or ring
+    nodes.  The neighbor tables are stored in Fortran order, so
+    ``nbr_index.T`` and ``nbr_dist.T`` are C-contiguous (K, Ni) views whose
+    rows the solver reads one stencil column at a time.
     """
 
     domain: Domain
@@ -216,6 +224,13 @@ class Classification:
         }
 
 
+def _shifted(padded, off):
+    """View of a lattice array padded by one point per side holding, at
+    each point z of the unpadded lattice, the entry of z + off."""
+    return padded[tuple(slice(1 + o, s - 1 + o)
+                        for o, s in zip(off, padded.shape))]
+
+
 def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     """Discretize domain x [0, T] on a uniform lattice of spacing h.
 
@@ -229,6 +244,7 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
         raise GridConfigError("need at least 2 time levels")
     n = domain.dim
     offsets = _stencil_offsets(n)
+    core = (slice(1, -1),) * n
 
     if domain.kind in ("interval", "box"):
         counts = []
@@ -249,13 +265,12 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
             )
         mesh = np.meshgrid(*axes, indexing="ij")
         pos = np.stack([m.ravel() for m in mesh], axis=-1)
-        ipt = np.stack(
-            [g.ravel() for g in np.meshgrid(*[np.arange(c + 1) for c in counts],
-                                            indexing="ij")], axis=-1)
-        interior = np.all((ipt > 0) & (ipt < np.array(counts)), axis=-1)
+        shape = tuple(m + 1 for m in counts)
+        interior = np.zeros(shape, dtype=bool)
+        interior[core] = True
+        interior = interior.ravel()
+        keep = np.ones(interior.size, dtype=bool)
         sample_pos = pos.copy()
-        index_of = {tuple(z): i for i, z in enumerate(map(tuple, ipt))}
-        lattice_int = ipt
     else:  # ball
         c, R = domain.bounds
         if 2.0 * R / h < min_interior_per_axis + 1:
@@ -263,78 +278,58 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
                 f"degenerate ball grid: 2R/h = {2 * R / h:.3g} too small"
             )
         K = int(np.ceil(R / h)) + 1
-        rng = np.arange(-K, K + 1)
-        mesh = np.meshgrid(*([rng] * n), indexing="ij")
+        shape = (2 * K + 1,) * n
+        mesh = np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")
         lat = np.stack([m.ravel() for m in mesh], axis=-1)
         xyz = np.asarray(c) + h * lat
         r = np.linalg.norm(xyz - np.asarray(c), axis=-1)
-        inside = r < R * (1 - 1e-12)
-        closure = r <= R * (1 + 1e-12)
-        index_all = {tuple(z): i for i, z in enumerate(map(tuple, lat))}
-        interior_all = inside.copy()
-        for k, z in enumerate(map(tuple, lat)):
-            if not inside[k]:
-                interior_all[k] = False
-                continue
-            ok = True
-            for ax in range(n):
-                for sgn in (-1, 1):
-                    zz = list(z)
-                    zz[ax] += sgn
-                    j = index_all.get(tuple(zz))
-                    if j is None or not closure[j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            interior_all[k] = ok
-        # ring = non-interior lattice points adjacent (full stencil) to interior
-        ring = np.zeros(lat.shape[0], dtype=bool)
-        for k, z in enumerate(map(tuple, lat)):
-            if not interior_all[k]:
-                continue
-            for off in offsets:
-                j = index_all.get(tuple(np.array(z) + off))
-                if j is not None and not interior_all[j]:
-                    ring[j] = True
-        keep = interior_all | ring
-        lattice_int = lat[keep]
+        # points off the lattice count as outside the closure
+        closure = np.pad((r <= R * (1 + 1e-12)).reshape(shape), 1)
+        interior_all = (r < R * (1 - 1e-12)).reshape(shape)
+        for e in np.eye(n, dtype=int):
+            interior_all = (interior_all & _shifted(closure, e)
+                            & _shifted(closure, -e))
+        padded = np.pad(interior_all, 1)
+        reached = np.zeros(shape, dtype=bool)
+        for off in offsets:
+            reached |= _shifted(padded, -off)
+        keep = (interior_all | reached).ravel()
         pos = xyz[keep]
-        interior = interior_all[keep]
+        interior = interior_all.ravel()[keep]
         sample_pos = pos.copy()
-        proj = domain.project_to_boundary(pos[~interior])
-        sample_pos[~interior] = proj
-        index_of = {tuple(z): i for i, z in enumerate(map(tuple, lattice_int))}
+        sample_pos[~interior] = domain.project_to_boundary(pos[~interior])
 
     if not np.any(interior):
         raise GridConfigError("grid has no interior nodes")
 
-    # neighbor table for interior nodes
+    # node number at kept lattice points, -1 elsewhere and on a one-point
+    # pad, so that the flat index of z + off never wraps to another row
+    node_of = np.full(tuple(s + 2 for s in shape), -1, dtype=np.int64)
+    node_of[core][keep.reshape(shape)] = np.arange(keep.sum())
+    flat_off = offsets @ (np.array(node_of.strides) // node_of.itemsize)
+    node_of = node_of.ravel()
     int_ids = np.flatnonzero(interior)
-    Kst = offsets.shape[0]
-    nbr_index = np.empty((int_ids.size, Kst), dtype=np.int64, order="F")
-    nbr_dist = np.empty((int_ids.size, Kst), dtype=float, order="F")
+    flat_i = np.flatnonzero(node_of >= 0)[int_ids]
+    # (K, Ni) in C order: the (Ni, K) tables are their F-order transposes
+    nbr = node_of[flat_off[:, None] + flat_i]
+    if np.any(nbr < 0):
+        raise GridConfigError(
+            "internal error: interior node with incomplete stencil"
+        )
     lat_dist = h * np.linalg.norm(offsets, axis=-1)
-    for row, i in enumerate(int_ids):
-        z = lattice_int[i]
-        for k, off in enumerate(offsets):
-            j = index_of.get(tuple(z + off))
-            if j is None:
-                raise GridConfigError(
-                    "internal error: interior node with incomplete stencil"
-                )
-            nbr_index[row, k] = j
-            if interior[j]:
-                nbr_dist[row, k] = lat_dist[k]
-            else:
-                d = float(np.linalg.norm(sample_pos[j] - pos[i]))
-                nbr_dist[row, k] = min(max(d, 0.4 * h), 1.5 * lat_dist[k])
+    dist = np.repeat(lat_dist[:, None], int_ids.size, axis=1)
+    # ring arms: projected distance, clamped to [0.4 h, 1.5 |off| h]; the
+    # row dot is the one np.linalg.norm takes on a single vector
+    k, row = np.nonzero(~interior[nbr])
+    diff = sample_pos[nbr[k, row]] - pos[int_ids[row]]
+    d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    dist[k, row] = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
 
     t = np.linspace(0.0, T, time_levels)
     return CylinderGrid(
         domain=domain, h=float(h), T=float(T), time_levels=int(time_levels),
         pos=pos, sample_pos=sample_pos, interior_mask=interior,
-        nbr_index=nbr_index, nbr_dist=nbr_dist, offsets=offsets, t=t,
+        nbr_index=nbr.T, nbr_dist=dist.T, offsets=offsets, t=t,
     )
 
 
@@ -486,12 +481,9 @@ def grid_to_json(grid, path=None):
         "T": grid.T,
         "time_levels": grid.time_levels,
         "nodes": [
-            {
-                "pos": [float(v) for v in grid.pos[i]],
-                "sample_pos": [float(v) for v in grid.sample_pos[i]],
-                "interior": bool(grid.interior_mask[i]),
-            }
-            for i in range(grid.n_nodes)
+            {"pos": p, "sample_pos": q, "interior": b}
+            for p, q, b in zip(grid.pos.tolist(), grid.sample_pos.tolist(),
+                               grid.interior_mask.tolist())
         ],
     }
     if path is not None:
@@ -501,16 +493,15 @@ def grid_to_json(grid, path=None):
 
 
 def field_to_csv(fld, path, skip_nan=True):
-    """CSV rows (x..., t, value) for every stored sample."""
+    """CSV rows (x..., t, value) for every stored sample, level by level."""
     grid = fld.grid
     n = grid.dim
+    kept = ~np.isnan(fld.values.T) if skip_nan else np.ones(
+        (grid.time_levels, grid.n_nodes), dtype=bool)
+    level, node = np.nonzero(kept)
+    rows = np.column_stack(
+        (grid.sample_pos[node], grid.t[level], fld.values[node, level]))
+    line = ",".join(["%.17g"] * (n + 2)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(f"x{i}" for i in range(n)) + ",t,value\n")
-        for j, tj in enumerate(grid.t):
-            col = fld.values[:, j]
-            for i in range(grid.n_nodes):
-                v = col[i]
-                if skip_nan and np.isnan(v):
-                    continue
-                coords = ",".join(f"{c:.17g}" for c in grid.sample_pos[i])
-                fh.write(f"{coords},{tj:.17g},{v:.17g}\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())

@@ -1,5 +1,7 @@
 """Grid, classification, and boundary-data sampling tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,151 @@ def test_boundary_data_h_on_accessor():
     np.testing.assert_allclose(bd.h_on(pts, 0.0), [2.0, 3.0])
     np.testing.assert_allclose(bd.h_on(pts, 1.0),
                                np.array([2.0, 3.0]) * np.exp(-1.0))
+
+
+def build_grid_reference(domain, h, T, time_levels):
+    """(pos, sample_pos, interior_mask, nbr_index, nbr_dist, offsets, t) of
+    build_grid, built node by node over lattice-tuple dicts."""
+    n = domain.dim
+    offsets = grids._stencil_offsets(n)
+    if domain.kind in ("interval", "box"):
+        counts = [round((b - a) / h) for a, b in domain.bounds]
+        axes = [a + h * np.arange(m + 1)
+                for (a, _), m in zip(domain.bounds, counts)]
+        pos = np.stack([m.ravel() for m in
+                        np.meshgrid(*axes, indexing="ij")], axis=-1)
+        ipt = np.stack(
+            [g.ravel() for g in np.meshgrid(*[np.arange(c + 1) for c in counts],
+                                            indexing="ij")], axis=-1)
+        interior = np.all((ipt > 0) & (ipt < np.array(counts)), axis=-1)
+        sample_pos = pos.copy()
+        lattice_int = ipt
+    else:
+        c, R = domain.bounds
+        K = int(np.ceil(R / h)) + 1
+        rng = np.arange(-K, K + 1)
+        lat = np.stack([m.ravel() for m in
+                        np.meshgrid(*([rng] * n), indexing="ij")], axis=-1)
+        xyz = np.asarray(c) + h * lat
+        r = np.linalg.norm(xyz - np.asarray(c), axis=-1)
+        inside = r < R * (1 - 1e-12)
+        closure = r <= R * (1 + 1e-12)
+        index_all = {tuple(z): i for i, z in enumerate(map(tuple, lat))}
+        interior_all = np.zeros(lat.shape[0], dtype=bool)
+        for k, z in enumerate(map(tuple, lat)):
+            if not inside[k]:
+                continue
+            ok = True
+            for ax in range(n):
+                for sgn in (-1, 1):
+                    zz = list(z)
+                    zz[ax] += sgn
+                    j = index_all.get(tuple(zz))
+                    ok = ok and j is not None and bool(closure[j])
+            interior_all[k] = ok
+        ring = np.zeros(lat.shape[0], dtype=bool)
+        for k, z in enumerate(lat):
+            if interior_all[k]:
+                for off in offsets:
+                    j = index_all.get(tuple(z + off))
+                    if j is not None and not interior_all[j]:
+                        ring[j] = True
+        keep = interior_all | ring
+        lattice_int = lat[keep]
+        pos = xyz[keep]
+        interior = interior_all[keep]
+        sample_pos = pos.copy()
+        sample_pos[~interior] = domain.project_to_boundary(pos[~interior])
+    index_of = {tuple(z): i for i, z in enumerate(map(tuple, lattice_int))}
+    int_ids = np.flatnonzero(interior)
+    nbr_index = np.empty((int_ids.size, len(offsets)), dtype=np.int64,
+                         order="F")
+    nbr_dist = np.empty((int_ids.size, len(offsets)), dtype=float, order="F")
+    lat_dist = h * np.linalg.norm(offsets, axis=-1)
+    for row, i in enumerate(int_ids):
+        for k, off in enumerate(offsets):
+            j = index_of[tuple(lattice_int[i] + off)]
+            nbr_index[row, k] = j
+            if interior[j]:
+                nbr_dist[row, k] = lat_dist[k]
+            else:
+                d = float(np.linalg.norm(sample_pos[j] - pos[i]))
+                nbr_dist[row, k] = min(max(d, 0.4 * h), 1.5 * lat_dist[k])
+    return (pos, sample_pos, interior, nbr_index, nbr_dist, offsets,
+            np.linspace(0.0, T, time_levels))
+
+
+REFERENCE_DOMAINS = {
+    "interval": (Domain.interval(-0.3, 0.9), 0.05),
+    "box2d": (Domain.box([(0.0, 2.0), (0.0, 1.0)]), 0.1),
+    "box3d": (Domain.box([(-0.5, 0.7), (0.1, 0.5), (0.0, 0.3)]), 0.05),
+    "ball1d": (Domain.ball((0.0,), 1.0), 0.1),
+    "ball1d-off": (Domain.ball((0.25,), 0.7), 0.15),
+    "disk": (Domain.ball((0.0, 0.0), 1.0), 0.1),
+    "disk-off": (Domain.ball((0.3, -0.1), 0.9), 0.033),
+    "ball3d": (Domain.ball((0.0, 0.0, 0.0), 0.5), 0.1),
+    "ball3d-off": (Domain.ball((0.1, -0.2, 0.3), 0.7), 0.13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_build_grid_matches_reference(name):
+    dom, h = REFERENCE_DOMAINS[name]
+    g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
+    ref = build_grid_reference(dom, h, 0.7, 4)
+    got = (g.pos, g.sample_pos, g.interior_mask, g.nbr_index, g.nbr_dist,
+           g.offsets, g.t)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert g.nbr_index.flags.f_contiguous and g.nbr_dist.flags.f_contiguous
+
+
+def field_to_csv_reference(fld, skip_nan):
+    """field_to_csv's text, written sample by sample."""
+    g = fld.grid
+    out = [",".join(f"x{i}" for i in range(g.dim)) + ",t,value\n"]
+    for j, tj in enumerate(g.t):
+        for i in range(g.n_nodes):
+            v = fld.values[i, j]
+            if skip_nan and np.isnan(v):
+                continue
+            coords = ",".join(f"{c:.17g}" for c in g.sample_pos[i])
+            out.append(f"{coords},{tj:.17g},{v:.17g}\n")
+    return "".join(out)
+
+
+def grid_json_reference(g):
+    """grid_to_json's node list, built coordinate by coordinate."""
+    return [{"pos": [float(v) for v in g.pos[i]],
+             "sample_pos": [float(v) for v in g.sample_pos[i]],
+             "interior": bool(g.interior_mask[i])}
+            for i in range(g.n_nodes)]
+
+
+SERIAL_GRIDS = {
+    "1d": (Domain.interval(0, 1), 0.25),
+    "2d": (Domain.ball((0.3, -0.1), 0.9), 0.3),
+    "3d": (Domain.box([(0, 1), (0, 0.5), (0, 0.75)]), 0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_GRIDS))
+@pytest.mark.parametrize("skip_nan", [True, False])
+def test_serializers_match_per_sample_writers(tmp_path, name, skip_nan):
+    dom, h = SERIAL_GRIDS[name]
+    g = build_grid(dom, h, 0.5, 3, min_interior_per_axis=1)
+    rng = np.random.default_rng(7)
+    vals = rng.uniform(-2.0, 2.0, (g.n_nodes, g.time_levels))
+    vals[g.interior_idx, 1:] = np.nan
+    special = [np.nan, -0.0, 0.0, 1e-300, -1e300, 1e300, 1e-8, 1.0 / 3.0]
+    vals.flat[:len(special)] = special
+    fld = GridField(g, vals)
+    grids.field_to_csv(fld, tmp_path / "f.csv", skip_nan=skip_nan)
+    assert ((tmp_path / "f.csv").read_bytes()
+            == field_to_csv_reference(fld, skip_nan).encode())
+    desc = grids.grid_to_json(g, tmp_path / "g.json")
+    ref = dict(desc, nodes=grid_json_reference(g))
+    assert desc == ref
+    assert ((tmp_path / "g.json").read_text()
+            == json.dumps(ref, indent=1, sort_keys=True))
