@@ -3,7 +3,8 @@ degenerate parabolic infinity-Laplacian equation D_inf(phi) = 3 phi^2 phi_t
 on bounded space-time cylinders.
 
 Subpackages:
-    quadrature  singular integrals behind the radial formulas
+    quadrature  closed forms of the singular integrals behind the radial
+                formulas, and their Newton inverses
     radial      exact radial solution oracles (eigenvalue, profiles, bounds)
     grids       domains, cylinders, parabolic boundaries, sampled fields
     transforms  phi <-> log phi change of variables and residual evaluators
@@ -14,7 +15,7 @@ Subpackages:
     cli         experiment runner emitting reproducible artifacts
 """
 
-from .quadrature import F_DECAY_FULL, adaptive_simpson, f_decay, g_grow
+from .quadrature import F_DECAY_FULL, f_decay, g_grow
 from .radial import (
     GROWTH_SIGMA,
     RadialProfile,

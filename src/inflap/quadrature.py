@@ -1,103 +1,49 @@
-"""Singular quadrature for the radial solution formulas.
+"""Closed forms of the two singular integrals behind the radial formulas.
 
-The two integrands that appear in the radial theory,
+F(q) = integral of (1-s^4)^(-1/4) over [q, 1], q in [0, 1] ("decay").  With
+y = s/(1-s^4)^(1/4), 1-s^4 = 1/(1+y^4) and ds = (1+y^4)^(-5/4) dy, so F(q) is
+the integral of dt/(1+t^4) over [y(q), inf): pi sqrt(2)/4 - (A+L)(y) for
+y <= 1 and, by t -> 1/t, (A-L)(1/y) for y > 1, where A + L and A - L are the
+integrals of 1/(1+s^4) and s^2/(1+s^4) over [0, t] (see _decay_residual).
 
-    (1 - s^4)^(-1/4)   on [q, 1]      ("decay" kind)
-    (s^4 - 1)^(-1/4)   on [1, v]      ("grow" kind, already scaled by delta)
-
-both blow up like (distance to the endpoint)^(-1/4).  The substitution
-s = 1 - z^4 (resp. s = 1 + z^4) absorbs the singularity and leaves a
-smooth bounded integrand 4 z^2 (1+s+s^2+s^3)^(-1/4), so plain adaptive
-Simpson reaches 1e-10 absolute error cheaply.  For bulk (vectorized) evaluation the
-module also builds cumulative tables with analytic endpoint slopes and
-evaluates them by monotone cubic Hermite interpolation; the two routes
-are cross-checked in the test suite.
+G(v) = integral of (s^4-1)^(-1/4) over [1, v], v >= 1 ("grow").  With
+y = (1-s^-4)^(1/4) the integrand is y^2 dy/(1-y^4), so G = artanh(y)/2 -
+arctan(y)/2.  As 1-y = v^-4/((1+y)(1+y^2)), artanh(y)/2 = log1p(y)/2 +
+log1p(y^2)/4 + log v, and y^4 = -expm1(-4 log v): nothing cancels badly.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+import sys
+from functools import partial
 
 import numpy as np
 
-__all__ = [
-    "adaptive_simpson",
-    "bisect_monotone",
-    "f_decay",
-    "g_grow",
-    "F_DECAY_FULL",
-    "grow_split_constant",
-    "SingularIntegralTable",
-    "decay_table",
-    "grow_table",
-    "cumulative_simpson",
-]
+__all__ = ["bisect_monotone", "cumulative_simpson", "f_decay", "g_grow",
+           "F_DECAY_FULL", "GROW_SPLIT", "SingularIntegralTable",
+           "decay_table", "grow_table"]
 
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature or root-finding routine cannot meet tolerance."""
 
 
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson integration of ``f`` on [a, b].
-
-    Returns (value, error_estimate).  ``f`` must be smooth on [a, b];
-    singular integrands should be de-singularized first (see module
-    docstring).
-    """
-    if a == b:
-        return 0.0, 0.0
-    if a > b:
-        val, err = adaptive_simpson(f, b, a, tol, max_depth)
-        return -val, err
-
-    def simp(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simp(fa, flm, fm, m - a)
-        right = simp(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        lv, le = rec(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-        rv, re = rec(m, b, fm, frm, fb, right, tol / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simp(fa, fm, fb, b - a)
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def bisect_monotone(f, lo, hi, xtol=1e-12, max_iter=200):
-    """Bisection for a root of a monotone scalar function with a sign change.
-
-    Unconditionally safe on monotone maps; used for all profile inversions.
-    """
-    flo = f(lo)
-    fhi = f(hi)
+    """Bisection for a root of a monotone scalar function with a sign change."""
+    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise QuadratureError(
-            f"bisection bracket [{lo}, {hi}] does not straddle a root "
-            f"(f={flo:.3e}, {fhi:.3e})"
-        )
+        raise QuadratureError(f"bisection bracket [{lo}, {hi}] does not straddle "
+                              f"a root (f={flo:.3e}, {fhi:.3e})")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
             return mid
         if flo * fm < 0.0:
-            hi, fhi = mid, fm
+            hi = mid
         else:
             lo, flo = mid, fm
         if hi - lo <= xtol:
@@ -105,86 +51,10 @@ def bisect_monotone(f, lo, hi, xtol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-# ---------------------------------------------------------------------------
-# de-singularized scalar integrals
-# ---------------------------------------------------------------------------
-
-def _decay_integrand_z(z):
-    # after s = 1 - z^4:  ds/(1-s^4)^(1/4) = 4 z^2 dz / (1+s+s^2+s^3)^(1/4)
-    s = 1.0 - z ** 4
-    p = 1.0 + s + s * s + s * s * s
-    return 4.0 * z * z / p ** 0.25
-
-
-def _grow_integrand_z(z):
-    # after s = 1 + z^4:  ds/(s^4-1)^(1/4) = 4 z^2 dz / (s^3+s^2+s+1)^(1/4)
-    s = 1.0 + z ** 4
-    q = s * (s * (s + 1.0) + 1.0) + 1.0
-    return 4.0 * z * z / q ** 0.25
-
-
-def _grow_integrand_y(y):
-    # s = e^y, y >= log 2:  ds/(s^4-1)^(1/4) = (1 - e^(-4y))^(-1/4) dy
-    return (1.0 - math.exp(-4.0 * y)) ** -0.25
-
-
-def f_decay(q, tol=1e-10):
-    """Integral of (1-s^4)^(-1/4) over [q, 1] by adaptive Simpson.
-
-    Decreasing in q, with f_decay(1) = 0 and f_decay(0) = pi*sqrt(2)/4.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"f_decay requires q in [0, 1], got {q}")
-    if q == 1.0:
-        return 0.0
-    z_hi = (1.0 - q) ** 0.25
-    val, _ = adaptive_simpson(_decay_integrand_z, 0.0, z_hi, tol=tol)
-    return val
-
-
-def g_grow(v, tol=1e-10):
-    """Integral of (s^4-1)^(-1/4) over [1, v] by adaptive Simpson.
-
-    Scale-free form of the growing-profile integral: the integral of
-    (s^4 - d^4)^(-1/4) over [d, u] equals g_grow(u/d) for any d > 0.
-    """
-    if v < 1.0:
-        raise ValueError(f"g_grow requires v >= 1, got {v}")
-    if v == 1.0:
-        return 0.0
-    if v <= 2.0:
-        val, _ = adaptive_simpson(_grow_integrand_z, 0.0, (v - 1.0) ** 0.25, tol=tol)
-        return val
-    head, _ = adaptive_simpson(_grow_integrand_z, 0.0, 1.0, tol=tol / 2)
-    tail, _ = adaptive_simpson(_grow_integrand_y, math.log(2.0), math.log(v), tol=tol / 2)
-    return head + tail
-
-
-#: pi*sqrt(2)/4, the full integral of (1-s^4)^(-1/4) over [0, 1].
-F_DECAY_FULL = f_decay(0.0, tol=1e-13)
-
-
-def grow_split_constant(tol=1e-12):
-    """The constant A = integral of (s^4-1)^(-1/4) over [1, 2].
-
-    This is the head term when the growing integral is split at twice the
-    center value; exp(-A) is the B constant of the growth sandwich.
-    """
-    val, _ = adaptive_simpson(_grow_integrand_z, 0.0, 1.0, tol=tol)
-    return val
-
-
-# ---------------------------------------------------------------------------
-# cumulative tables with Hermite evaluation (vectorized bulk path)
-# ---------------------------------------------------------------------------
-
 def cumulative_simpson(y, dx):
-    """Cumulative integral of samples ``y`` on a uniform grid of spacing dx.
-
-    Matches composite Simpson at even indices; odd indices come from the
-    quadratic through the three surrounding samples.  O(dx^4) accurate for
-    smooth integrands.
-    """
+    """Cumulative integral of samples ``y`` on a uniform grid of spacing dx:
+    composite Simpson at even indices, the quadratic through the three
+    surrounding samples at odd ones.  O(dx^4) for smooth integrands."""
     y = np.asarray(y, dtype=float)
     n = y.size
     out = np.zeros(n)
@@ -202,144 +72,101 @@ def cumulative_simpson(y, dx):
     out[i + 2] = pair - first_half
     out = np.cumsum(out)
     if even_end != n - 1:
-        # trailing odd sample: integrate the last half-cell with the
-        # quadratic through the final three samples
+        # trailing odd sample: the last half-cell, by the final three samples
         out[n - 1] = out[n - 2] + dx / 12.0 * (
-            -y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1]
-        )
+            -y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
     return out
 
 
-@dataclass
+_R2 = math.sqrt(2.0)
+#: pi*sqrt(2)/4 = F(0), the full integral of (1-s^4)^(-1/4) over [0, 1].
+F_DECAY_FULL = math.pi * _R2 / 4.0
+_GROW_SHIFT = 0.75 * math.log(2.0) - math.pi / 8.0  # lim G(v) - log v
+
+
+def _decay_residual(t, base, sign, target):
+    """(F - target, t^2) at t = min(y, 1/y) <= 1: F = base + sign A - L, with
+    (base, sign) = (F(0), -1) for y <= 1 and (0, 1) for y > 1."""
+    t2 = t * t
+    x = _R2 * t
+    L = np.log1p(2.0 * x / (1.0 - x + t2)) / (4.0 * _R2)
+    A = np.arctan2(x, 1.0 - t2) / (2.0 * _R2)
+    return base + sign * A - L - target, t2
+
+
+def _grow_residual(log_v, target):
+    """(G - target, y) at v = exp(log_v), with y = (1 - v^-4)^(1/4)."""
+    y = (-np.expm1(-4.0 * log_v)) ** 0.25
+    return (0.5 * np.log1p(y) + 0.25 * np.log1p(y * y) + log_v
+            - 0.5 * np.arctan(y) - target), y
+
+
+_F_AT_Y1 = float(_decay_residual(1.0, 0.0, 1.0, 0.0)[0])  # F at q = 2^(-1/4)
+_GROW_MAX = float(_grow_residual(math.log(sys.float_info.max), 0.0)[0])
+
+
 class SingularIntegralTable:
-    """Cumulative table of one of the two singular integrals.
+    """Stateless closed-form evaluator of F (kind "decay") or G (kind "grow").
+    It holds no table; the name and constructor stay because the benchmark's
+    set-up (``benchmarks/run.py::timed_setup``) constructs both kinds."""
 
-    kind "decay": F(q) = integral of (1-s^4)^(-1/4) over [q, 1], q in [0, 1].
-    kind "grow":  G(v) = integral of (s^4-1)^(-1/4) over [1, v], v >= 1.
-
-    Evaluation and inversion use cubic Hermite interpolation in the
-    de-singularized parameter with analytic slopes, so values are accurate
-    to ~1e-12 and strictly monotone.  ``tolerance`` records the target
-    absolute accuracy of the table.
-    """
-
-    kind: str
-    n: int = 4097
-    v_max: float = 1.0e12
-    tolerance: float = 1e-10
-    _grids: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind == "decay":
-            z = np.linspace(0.0, 1.0, self.n)
-            fz = _decay_integrand_z(z)
-            F = cumulative_simpson(fz, z[1] - z[0])
-            self._grids = ((z, F, fz),)
-        elif self.kind == "grow":
-            z = np.linspace(0.0, 1.0, self.n)
-            fz = _grow_integrand_z(z)
-            F1 = cumulative_simpson(fz, z[1] - z[0])
-            y = np.linspace(math.log(2.0), math.log(self.v_max), 4 * self.n + 1)
-            fy = (1.0 - np.exp(-4.0 * y)) ** -0.25
-            F2 = F1[-1] + cumulative_simpson(fy, y[1] - y[0])
-            self._grids = ((z, F1, fz), (y, F2, fy))
-        else:
-            raise ValueError(f"unknown table kind {self.kind!r}")
-
-    @staticmethod
-    def _hermite(xg, yg, dg, x):
-        """Vectorized cubic Hermite evaluation on a uniform grid."""
-        h = xg[1] - xg[0]
-        idx = np.clip(((x - xg[0]) / h).astype(int), 0, xg.size - 2)
-        t = (x - xg[idx]) / h
-        y0, y1 = yg[idx], yg[idx + 1]
-        d0, d1 = dg[idx] * h, dg[idx + 1] * h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+    def __init__(self, kind):
+        if kind not in ("decay", "grow"):
+            raise ValueError(f"unknown integral kind {kind!r}")
+        self.kind = kind
 
     def value(self, x):
-        """F(q) for kind "decay" (x=q in [0,1]); G(v) for kind "grow" (x=v>=1)."""
+        """F(q) or G(v), vectorized; ValueError for q outside [0, 1], v < 1."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "decay":
-            z = np.clip(1.0 - x, 0.0, 1.0) ** 0.25
-            zg, Fg, fg = self._grids[0]
-            return self._hermite(zg, Fg, fg, z)
-        out = np.empty(x.shape or (1,))
-        xf = np.atleast_1d(x)
-        lo = xf <= 2.0
-        zg, F1, f1 = self._grids[0]
-        yg, F2, f2 = self._grids[1]
-        if lo.any():
-            z = np.clip(xf[lo] - 1.0, 0.0, 1.0) ** 0.25
-            out[lo] = self._hermite(zg, F1, f1, z)
-        if (~lo).any():
-            out[~lo] = self._hermite(yg, F2, f2, np.log(xf[~lo]))
-        return out.reshape(x.shape) if x.shape else float(out[0])
+        lo, hi = (1.0, np.inf) if self.kind == "grow" else (0.0, 1.0)
+        if not ((x >= lo) & (x <= hi)).all():
+            raise ValueError(f"{self.kind} integral needs x in [{lo}, {hi}]")
+        if self.kind == "grow":
+            return _grow_residual(np.log(x), 0.0)[0][()]
+        r = ((1.0 - x) * (1.0 + x) * (1.0 + x * x)) ** 0.25  # (1-q^4)^(1/4)
+        head = x <= r  # y = q/r <= 1
+        t = np.where(head, x, r) / np.where(head, r, x)
+        return _decay_residual(t, np.where(head, F_DECAY_FULL, 0.0),
+                               np.where(head, -1.0, 1.0), 0.0)[0][()]
 
     def inverse(self, target):
-        """Solve F(q) = target (decay) or G(v) = target (grow), vectorized."""
-        target = np.asarray(target, dtype=float)
-        if self.kind == "decay":
-            zg, Fg, fg = self._grids[0]
-            if np.any(target > Fg[-1] * (1.0 + 1e-12) + 1e-14) or np.any(target < 0):
-                raise QuadratureError("decay inversion target outside [0, F(0)]")
-            z = np.interp(target, Fg, zg)
-            for _ in range(40):
-                fv = self._hermite(zg, Fg, fg, z) - target
-                dv = np.maximum(np.interp(z, zg, fg), 1e-30)
-                step = fv / dv
-                z = np.clip(z - step, 0.0, 1.0)
-                if np.max(np.abs(step)) < 1e-15:
-                    break
-            return 1.0 - z ** 4
-        zg, F1, f1 = self._grids[0]
-        yg, F2, f2 = self._grids[1]
-        if np.any(target > F2[-1]) or np.any(target < 0):
-            raise QuadratureError(
-                "grow inversion target outside table range; increase v_max"
-            )
-        tf = np.atleast_1d(target).astype(float)
-        out = np.empty_like(tf)
-        lo = tf <= F1[-1]
-        if lo.any():
-            z = np.interp(tf[lo], F1, zg)
-            for _ in range(40):
-                fv = self._hermite(zg, F1, f1, z) - tf[lo]
-                step = fv / np.maximum(np.interp(z, zg, f1), 1e-30)
-                z = np.clip(z - step, 0.0, 1.0)
-                if np.max(np.abs(step)) < 1e-15:
-                    break
-            out[lo] = 1.0 + z ** 4
-        if (~lo).any():
-            y = np.interp(tf[~lo], F2, yg)
-            for _ in range(40):
-                fv = self._hermite(yg, F2, f2, y) - tf[~lo]
-                step = fv / np.interp(y, yg, f2)
-                y = np.clip(y - step, yg[0], yg[-1])
-                if np.max(np.abs(step)) < 1e-15:
-                    break
-            out[~lo] = np.exp(y)
-        return out.reshape(target.shape) if target.shape else float(out[0])
+        """Solve F(q) = target or G(v) = target by vectorized Newton; an element
+        stops one step after |residual| <= 1e-8 of its scale (quadratic convergence
+        makes that step exact).  QuadratureError for T < 0, T > F(0) or G(max float)."""
+        T = np.asarray(target, dtype=float)
+        top = F_DECAY_FULL if self.kind == "decay" else _GROW_MAX
+        if not ((T >= 0.0) & (T <= top)).all():
+            raise QuadratureError(f"{self.kind} target outside [0, {top!r}]")
+        if self.kind == "grow":  # G ~ y^3/3 near v = 1, G ~ log v + c far out
+            y0 = np.cbrt(3.0 * np.minimum(T, 0.25))
+            t = np.where(T < 0.25, -0.25 * np.log1p(-y0 ** 4), T - _GROW_SHIFT)
+            tol = 1e-8 * (T + y0)
+        else:  # F ~ F(0) - y for y <= 1, F ~ w^3/3 in w = 1/y (floored: w^2 > 0)
+            head = T > _F_AT_Y1
+            base, sign = np.where(head, F_DECAY_FULL, 0.0), np.where(head, -1.0, 1.0)
+            t = np.where(head, F_DECAY_FULL - T, np.maximum(np.cbrt(3.0 * T), 1e-100))
+            tol = 1e-8 * (base + t)
+        done = T < 1e-13  # the start is exact in double: q = 1, v = 1
+        for _ in range(40):
+            if self.kind == "grow":
+                resid, y = _grow_residual(t, T)
+                step = resid * y  # t = log v, dG/dt = 1/y
+            else:  # dF/dy = -1/(1+y^4) on the head, dF/dw = w^2/(1+w^4)
+                resid, t2 = _decay_residual(t, base, sign, T)
+                step = resid * (1.0 + t2 * t2) / np.where(head, -1.0, t2)
+            t = np.where(done, t, t - step)
+            done = done | (np.abs(resid) <= tol)
+            if done.all():
+                if self.kind == "grow":
+                    return np.exp(t)[()]
+                return (np.where(head, t, 1.0) / (1.0 + t ** 4) ** 0.25)[()]
+        raise QuadratureError(f"{self.kind} Newton inversion did not converge")
 
 
-_DECAY_TABLE = None
-_GROW_TABLE = None
-
-
-def decay_table():
-    """Shared table for the decaying integral (built once per process)."""
-    global _DECAY_TABLE
-    if _DECAY_TABLE is None:
-        _DECAY_TABLE = SingularIntegralTable("decay")
-    return _DECAY_TABLE
-
-
-def grow_table():
-    """Shared table for the growing integral (built once per process)."""
-    global _GROW_TABLE
-    if _GROW_TABLE is None:
-        _GROW_TABLE = SingularIntegralTable("grow")
-    return _GROW_TABLE
+decay_table = partial(SingularIntegralTable, "decay")
+grow_table = partial(SingularIntegralTable, "grow")
+#: F(q) and G(v), scalar or vectorized; ValueError outside their domains.
+f_decay, g_grow = decay_table().value, grow_table().value
+#: A = G(2), the head term when the growing integral is split at twice the
+#: center value; exp(-A) is the B constant of the growth sandwich.
+GROW_SPLIT = g_grow(2.0)

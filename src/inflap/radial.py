@@ -11,10 +11,10 @@ reduces to one-dimensional singular-integral identities:
                     u(0) = delta = inf u.
 
 The first eigenvalue of a ball of radius R is (C/R)^4 with
-C = integral_0^1 (1-s^4)^(-1/4) ds = pi*sqrt(2)/4.  Inversion of the
-monotone integral maps gives pointwise profile evaluation; a Picard
-iteration of the equivalent double-integral fixed point serves as an
-independent cross-oracle.
+C = integral_0^1 (1-s^4)^(-1/4) ds = pi*sqrt(2)/4.  Both integral maps have
+closed forms (inflap.quadrature); vectorized Newton inversion of them gives
+pointwise profile evaluation.  A Picard iteration of the equivalent
+double-integral fixed point serves as an independent cross-oracle.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ import numpy as np
 
 from .quadrature import (
     F_DECAY_FULL,
+    GROW_SPLIT,
     QuadratureError,
-    bisect_monotone,
     cumulative_simpson,
     decay_table,
-    f_decay,
-    g_grow,
-    grow_split_constant,
     grow_table,
 )
 
@@ -132,28 +129,6 @@ class RadialProfile:
             return up ** 2 * u2 + self.lam * u ** 3
         return up ** 2 * u2 - self.lam * u ** 3
 
-    def eval_scalar_bisect(self, r, xtol=1e-12):
-        """Reference scalar evaluation: bisection against adaptive Simpson.
-
-        Independent of the table/Hermite bulk path; used for cross-checks.
-        """
-        target = self.lam ** 0.25 * r
-        if self.kind == "eigen_decaying":
-            if target >= F_DECAY_FULL:
-                return 0.0
-            q = bisect_monotone(lambda q: f_decay(q) - target, 0.0, 1.0, xtol=xtol)
-            return self.m * q
-        if target == 0.0:
-            return self.delta
-        hi = 2.0
-        while g_grow(hi) < target:
-            hi *= 2.0
-            if hi > 1e15:
-                raise QuadratureError("growing profile bracket expansion failed")
-        v = bisect_monotone(lambda v: g_grow(v) - target, 1.0, hi,
-                            xtol=xtol * max(1.0, hi))
-        return self.delta * v
-
 
 def decaying_profile(R, lam, delta_or_m, fixed_which="delta"):
     """Decreasing radial solution with (u')^2 u'' + lambda u^3 = 0.
@@ -248,7 +223,7 @@ def growth_bounds(R, lam, delta):
             f"growth bounds need u(R) >= 2 delta; got u(R)={uR:.6g}, "
             f"delta={delta:.6g} (R too small)"
         )
-    A = grow_split_constant()
+    A = GROW_SPLIT
     B = math.exp(-A)
     z = lam ** 0.25 * R
     lower = 2.0 * delta * B ** (1.0 / GROWTH_SIGMA) * math.exp(z / GROWTH_SIGMA)

@@ -2,11 +2,14 @@
 
 Expected values were produced by independent routes: the Beta closed form
 for the full singular integral, central finite differences for dm/dlambda,
-and the Picard double-integral fixed point for profile cross-checks.
+the Picard double-integral fixed point for profile cross-checks, and a
+bracketed root of mpmath quadrature of the raw integrand for pointwise
+profile values.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +17,33 @@ from inflap import radial
 from inflap.quadrature import QuadratureError
 
 LAMBDA_B_UNIT = (math.pi * math.sqrt(2.0) / 4.0) ** 4  # ~1.5220170474062881
+
+
+def mp_profile(p, r):
+    """u(r) solving the profile's integral relation by a bracketed root
+    (Illinois) on mpmath quadrature of the raw integrand, in u = distance to
+    the singular endpoint; independent of inflap.quadrature."""
+    if r == 0:
+        return p.m if p.kind == "eigen_decaying" else p.delta
+    with mpmath.workdps(30):
+        target = mpmath.mpf(p.lam) ** 0.25 * r
+        if p.kind == "eigen_decaying":  # integral of (1-s^4)^(-1/4) over [q, 1]
+            def F(q):
+                return mpmath.quad(
+                    lambda u: (u * (2 - u) * (1 + (1 - u) ** 2)) ** -0.25, [0, 1 - q])
+
+            q = mpmath.findroot(lambda q: F(q) - target, (0, 1), solver="illinois")
+            return p.m * float(q)
+
+        def G(v):  # integral of (s^4-1)^(-1/4) over [1, v]
+            return mpmath.quad(
+                lambda u: (u * (u + 2) * (u * u + 2 * u + 2)) ** -0.25, [0, v - 1])
+
+        hi = mpmath.mpf(2)
+        while G(hi) < target:
+            hi *= 2
+        v = mpmath.findroot(lambda v: G(v) - target, (1, hi), solver="illinois")
+        return p.delta * float(v)
 
 
 class TestEigenvalue:
@@ -99,7 +129,7 @@ class TestDecayingProfile:
         lam = 0.8 * radial.ball_eigenvalue(1.0)
         p = radial.decaying_profile(1.0, lam, 1.0, fixed_which="m")
         for r in (0.0, 0.2, 0.63, 1.0):
-            assert abs(p.eval_scalar_bisect(r) - float(p.eval(r))) < 1e-10
+            assert abs(mp_profile(p, r) - float(p.eval(r))) < 1e-14
 
 
 class TestGrowingProfile:
@@ -108,6 +138,12 @@ class TestGrowingProfile:
         assert g.eval(0.0) == 1.0
         r = np.linspace(0.0, 1.0, 101)
         assert np.all(np.diff(g.eval(r)) > 0)
+
+    def test_scalar_bisect_route_agrees(self):
+        # r = 10 reaches u/delta ~ 2e4, where G is evaluated through log v
+        g = radial.growing_profile(10.0, 1.0, 0.7)
+        for r in (0.0, 1e-3, 0.2, 0.63, 1.0, 4.0, 10.0):
+            assert abs(float(g.eval(r)) / mp_profile(g, r) - 1.0) < 1e-14
 
     def test_small_r_lower_bound(self):
         # u(r) - delta >= (3^(4/3) delta / 4) lam^(1/3) r^(4/3)
@@ -200,9 +236,7 @@ class TestGrowthBounds:
         gb = radial.growth_bounds(5.0, 1.0, 1.0)
         assert abs(gb.sigma - 2.0 / 15.0 ** 0.25) < 1e-15
         assert abs(gb.sigma - 1.0163) < 1e-4
-        # A computed by singular quadrature, cross-checked by mpmath
-        import mpmath
-
+        # A = G(2) in closed form, cross-checked by mpmath
         a_ref = float(mpmath.quad(lambda s: (s ** 4 - 1) ** (-0.25), [1, 2]))
         assert abs(gb.A - a_ref) < 1e-10
         assert abs(gb.B - math.exp(-gb.A)) < 1e-14
