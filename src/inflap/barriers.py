@@ -205,13 +205,23 @@ def _glued(kind, family, y, eps, bd, grid):
     derived.update(delta_ball=delta, glue=glue,
                    center=prof.m if sub else center)
 
+    # eval_field samples every time level at the same points, and only the
+    # time factor changes, so the profile is kept for the last point set.
+    # The match is by value, never by identity: a caller may mutate its
+    # point array in place.
+    last_pts, last_base = None, None
+
     def evaluate(pts, t):
-        r = np.linalg.norm(pts - y, axis=1)
-        base = np.full(len(pts), glue)
-        inside = r <= delta
-        if inside.any():
-            core = prof.eval(r[inside])
-            base[inside] = core if sub else np.minimum(core, glue)
+        nonlocal last_pts, last_base
+        if last_pts is None or not np.array_equal(last_pts, pts):
+            r = np.linalg.norm(pts - y, axis=1)
+            base = np.full(len(pts), glue)
+            inside = r <= delta
+            if inside.any():
+                core = prof.eval(r[inside])
+                base[inside] = core if sub else np.minimum(core, glue)
+            last_pts, last_base = pts.copy(), base
+        base = last_base
         if sub:
             return base * math.exp(-rate * t / 3.0)
         # super rates near the anchor can be enormous (lam ~ delta^-4); the

@@ -6,7 +6,8 @@ ring of lattice points (box faces, or the first layer of points failing
 the ball mask rule) carries prescribed data.  For balls the ring points
 store a *projected* sample position on the sphere, and stencil distances
 to ring neighbors use the projected geometry (Shortley-Weller style,
-clamped away from zero).
+clamped away from zero).  Box ring nodes are lattice points, so box arms
+keep their lattice length h |off|; only ball rows can be *irregular*.
 
 The build works on whole lattice arrays.  A ball point is interior when it
 lies inside and all 2n axis neighbours lie in the closure; the ring is the
@@ -206,6 +207,19 @@ class CylinderGrid:
         axes = np.eye(self.dim, dtype=int)
         self.axis_columns = ([self.offset_column(e) for e in axes],
                              [self.offset_column(-e) for e in axes])
+        # (off, -off) pairs per arm length h|off|, axes first and in axis order
+        lat = self.h * np.linalg.norm(self.offsets, axis=-1)
+        pairs = list(zip(*self.axis_columns)) + [
+            (k, self.offset_column(-off)) for k, off in enumerate(self.offsets)
+            if np.abs(off).sum() > 1 and tuple(off) > tuple(-off)]
+        self.stencil_classes = [(d, [p for p in pairs if lat[p[0]] == d])
+                                for d in sorted(set(lat.tolist()))]
+        # rows with an arm off h |off|, and their (K, n_irr) sub-tables
+        self.irregular_rows = np.flatnonzero(
+            np.any(self.nbr_dist.T != lat[:, None], axis=0))
+        self.irregular_index, self.irregular_dist = (
+            np.ascontiguousarray(t.T[:, self.irregular_rows])
+            for t in (self.nbr_index, self.nbr_dist))
 
 
 @dataclass
@@ -318,12 +332,13 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
         )
     lat_dist = h * np.linalg.norm(offsets, axis=-1)
     dist = np.repeat(lat_dist[:, None], int_ids.size, axis=1)
-    # ring arms: projected distance, clamped to [0.4 h, 1.5 |off| h]; the
-    # row dot is the one np.linalg.norm takes on a single vector
-    k, row = np.nonzero(~interior[nbr])
-    diff = sample_pos[nbr[k, row]] - pos[int_ids[row]]
-    d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-    dist[k, row] = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
+    if domain.kind == "ball":
+        # ring arms: projected distance, clamped to [0.4 h, 1.5 |off| h];
+        # the row dot is the one np.linalg.norm takes on a single vector
+        k, row = np.nonzero(~interior[nbr])
+        diff = sample_pos[nbr[k, row]] - pos[int_ids[row]]
+        d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        dist[k, row] = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
 
     t = np.linspace(0.0, T, time_levels)
     return CylinderGrid(

@@ -52,11 +52,15 @@ dt ~ h^3; the collar error vanishes under refinement and is measured
 directly against the exact separable solutions in the acceptance suite.
 
 One kernel serves the stepper, the CFL rule and the monotone
-discrete_infinity_laplacian.  It reads the neighbor tables one stencil
-column at a time (a C-contiguous row of nbr_index.T), so every operation
-is elementwise over the interior nodes; the cusp extremes are taken
-afterwards, on the discrete-extremum rows only.  solve() gathers the
-interior once per in-place step and rewrites the lateral ring after it.
+discrete_infinity_laplacian.  It reduces by distance class (the columns
+whose lattice arms h |off| share one length d): per column one gather and
+one max and min of the raw values, per class one subtract and one divide.
+Rounding is monotone, so fl(fl(max_k v_k - v_c)/d) = max_k fl(fl(v_k -
+v_c)/d) bit for bit, as are the min and the eta upwind terms.  Irregular
+(ball ring) rows, and minmax rows where two classes tie for an extreme
+slope, are redone in argmax form, whose first-column tie rule may pick
+another arm length; extremum rows take the cusp branch, which ignores it.
+solve() gathers the interior once per in-place step, then the ring.
 """
 
 from __future__ import annotations
@@ -124,35 +128,59 @@ class SolveResult:
 CUSP = 64.0 / 81.0  # D_inf(u0 - c r^(4/3)) -> -(64/81) c^3 at the origin
 
 
-def _monotone_parts(grid, vals, c):
+def _monotone_parts(grid, vals, c, upwind=False):
     """Monotone D_inf estimate and its center-sensitivity bound.
 
-    Returns (dinf, g, coef_c, axis_slopes) for c = vals[interior_idx]:
-    the wide-stencil minmax operator with the cusp-consistent branch at
+    Returns (dinf, g, coef_c, axis_up) for c = vals[interior_idx]: the
+    wide-stencil minmax operator with the cusp-consistent branch at
     discrete local extrema, the gradient magnitude estimate used for
     diffusivity capping, a per-node bound on -d(dinf)/d(v_c) for the CFL
-    rule, and the (+e_i, -e_i) slope pair of every axis.  The loop runs
-    over the K stencil columns; strict comparisons keep the first column
-    on ties, as argmax/argmin would.  The cusp extremes of
-    (v_k - v_c) / d_k^(4/3) are then taken on the extremum rows only.
+    rule, and the upwind slope max((v_{+i} - v_c)/d_{+i},
+    (v_{-i} - v_c)/d_{-i}) of every axis (an empty list unless upwind).
     """
-    plus, minus = grid.axis_columns
-    slope = dict.fromkeys(plus + minus)
-    for k, (idx, dist) in enumerate(zip(grid.nbr_index.T, grid.nbr_dist.T)):
-        s = vals[idx]
-        s -= c
-        s /= dist
-        if k in slope:
-            slope[k] = s
-        if k == 0:
-            sp, sm, dp, dm = s.copy(), s.copy(), dist.copy(), dist.copy()
+    idx = grid.nbr_index.T
+    axis_up = []
+    sp, tie = None, False
+    for d, pairs in grid.stencil_classes:
+        top = bot = None
+        for kp, km in pairs:
+            a, b = vals[idx[kp]], vals[idx[km]]
+            hi = np.maximum(a, b)
+            np.minimum(a, b, out=a)
+            if upwind and sp is None:   # the axis class: (+e_i, -e_i)
+                axis_up.append((hi - c) / d)
+            top = hi if top is None else np.maximum(top, hi, out=top)
+            bot = a if bot is None else np.minimum(bot, a, out=bot)
+        top, bot = ((v - c) / d for v in (top, bot))
+        if sp is None:
+            sp, sm, dp, dm = top, bot, d, d
             continue
-        up = s > sp
-        np.copyto(sp, s, where=up)
-        np.copyto(dp, dist, where=up)
-        dn = s < sm
-        np.copyto(sm, s, where=dn)
-        np.copyto(dm, dist, where=dn)
+        tie = tie | (top == sp) | (bot == sm)
+        dp = np.where(top > sp, d, dp)
+        np.maximum(sp, top, out=sp)
+        dm = np.where(bot < sm, d, dm)
+        np.minimum(sm, bot, out=sm)
+
+    # argmax form, ties to the first column, on the irregular rows and on
+    # the minmax rows where two classes reach the same extreme slope
+    exact = [(grid.irregular_rows, grid.irregular_index, grid.irregular_dist)]
+    if np.ndim(dp) == 0:   # one class: no merge, no arm-length arrays
+        dp, dm = np.full_like(c, dp), np.full_like(c, dm)
+    else:
+        ties = np.flatnonzero(tie)
+        ties = ties[(sp[ties] > 0.0) & (sm[ties] < 0.0)]
+        exact.append((ties, idx[:, ties], grid.nbr_dist.T[:, ties]))
+    plus, minus = grid.axis_columns
+    for rows, idx_r, dist_r in exact:
+        if rows.size:
+            s = vals[idx_r] - c[rows]
+            s /= dist_r
+            kp, km, n = s.argmax(0), s.argmin(0), np.arange(rows.size)
+            sp[rows], sm[rows] = s[kp, n], s[km, n]
+            dp[rows], dm[rows] = dist_r[kp, n], dist_r[km, n]
+            for u, p, m in zip(axis_up, plus, minus):
+                u[rows] = np.maximum(s[p], s[m])
+
     g = np.maximum(np.maximum(sp, -sm), 0.0)
     g2 = (0.5 * (sp - sm)) ** 2
     dinf = g2 * (2.0 * (sp + sm) / (dp + dm))
@@ -168,7 +196,7 @@ def _monotone_parts(grid, vals, c):
             dinf[rows] = sign * CUSP * cusp_c ** 3
             coef_c[rows] = 3.0 * CUSP * cusp_c ** 2 / \
                 grid.dmin[rows] ** (4.0 / 3.0)
-    return dinf, g, coef_c, [(slope[p], slope[m]) for p, m in zip(plus, minus)]
+    return dinf, g, coef_c, axis_up
 
 
 def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
@@ -201,13 +229,11 @@ def _rhs_and_coef(grid, vals, config, cap, c=None):
     tiny = 1e-300
     if c is None:
         c = vals[grid.interior_idx]
-    dinf, g, coef_c, axis_slopes = _monotone_parts(grid, vals, c)
-    if config.variable == "eta":
+    eta = config.variable == "eta"
+    dinf, g, coef_c, axis_up = _monotone_parts(grid, vals, c, upwind=eta)
+    if eta:
         # axiswise upwind |D eta|^2 estimate (monotone in neighbor values)
-        q2 = np.zeros_like(dinf)
-        for up, dn in axis_slopes:
-            q = np.maximum(np.maximum(up, dn), 0.0)
-            q2 += q * q
+        q2 = sum(np.square(np.maximum(up, 0.0)) for up in axis_up)
         if cap is not None:
             scale = np.minimum(cap / np.maximum(g, tiny), 1.0)
             dinf = dinf * scale * scale

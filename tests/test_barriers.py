@@ -75,6 +75,29 @@ class TestCatalogPinsAndDomination:
             if not b.spec.constant:
                 assert pin_error(b, bd) <= 1e-9
 
+    def test_glued_profile_evaluated_once_per_point_set(self, setup_1d,
+                                                       monkeypatch):
+        # every level of eval_field shares one profile evaluation; a point
+        # array changed in place is evaluated afresh
+        g, bd, _, eps = setup_1d
+        calls = []
+        profile_eval = radial.RadialProfile.eval
+        monkeypatch.setattr(radial.RadialProfile, "eval", lambda self, r:
+                            calls.append(r.size) or profile_eval(self, r))
+        for maker, y in ((B.make_alpha_sub, np.array([0.5])),
+                         (B.make_beta_sup, np.array([1.0]))):
+            b = maker(y, eps, bd, g)
+            calls.clear()
+            pts = g.sample_pos.copy()
+            fld = b.eval_field(g).values
+            assert len(calls) == 1
+            assert np.array_equal(b.eval(pts, g.t[3]), fld[:, 3])
+            assert len(calls) == 1
+            pts += 0.05
+            fresh = maker(y, eps, bd, g).eval(pts, g.t[3])
+            assert np.array_equal(b.eval(pts, g.t[3]), fresh)
+            assert not np.array_equal(fresh, fld[:, 3])
+
     def test_gamma_families(self, setup_lateral):
         g, bd, hfield, eps = setup_lateral
         for maker in (B.make_gamma_sub_cone, B.make_gamma_sup_cusp):

@@ -297,7 +297,8 @@ def build_grid_reference(domain, h, T, time_levels):
         for k, off in enumerate(offsets):
             j = index_of[tuple(lattice_int[i] + off)]
             nbr_index[row, k] = j
-            if interior[j]:
+            # only balls project their ring points, so box arms keep h |off|
+            if interior[j] or domain.kind != "ball":
                 nbr_dist[row, k] = lat_dist[k]
             else:
                 d = float(np.linalg.norm(sample_pos[j] - pos[i]))
@@ -330,6 +331,34 @@ def test_build_grid_matches_reference(name):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert g.nbr_index.flags.f_contiguous and g.nbr_dist.flags.f_contiguous
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_arm_lengths_classes_and_irregular_rows(name):
+    # box and interval arms have the lattice length h |off| exactly; a ball
+    # row is irregular (some arm off that length) exactly when it has a
+    # ring arm, and its cached sub-tables are the (K, n_irr) C-order ones
+    dom, h = REFERENCE_DOMAINS[name]
+    g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
+    lat = h * np.linalg.norm(g.offsets, axis=-1)
+    ring_rows = np.flatnonzero(np.any(~g.interior_mask[g.nbr_index], axis=1))
+    assert ring_rows.size > 0
+    if dom.kind == "ball":
+        assert np.array_equal(g.irregular_rows, ring_rows)
+    else:
+        assert np.all(g.nbr_dist == lat) and g.irregular_rows.size == 0
+    for sub, table in ((g.irregular_index, g.nbr_index),
+                       (g.irregular_dist, g.nbr_dist)):
+        assert sub.flags.c_contiguous
+        assert np.array_equal(sub, table[g.irregular_rows].T)
+    # the distance classes pair up all K columns by length, shortest first;
+    # the first is the axis class in axis order
+    lengths = [d for d, _ in g.stencil_classes]
+    assert lengths == sorted(set(lat.tolist())) and len(lengths) == dom.dim
+    cols = [k for d, pairs in g.stencil_classes for pair in pairs
+            for k in pair if lat[k] == d]
+    assert sorted(cols) == list(range(lat.size))
+    assert g.stencil_classes[0][1] == list(zip(*g.axis_columns))
 
 
 def field_to_csv_reference(fld, skip_nan):

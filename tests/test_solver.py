@@ -251,9 +251,12 @@ def test_ordered_initial_data_same_lateral():
 # kernel properties on random positive fields
 # ---------------------------------------------------------------------------
 
+# the balls have irregular rows (ring arms at projected lengths), the box
+# none; the 3-D grids have three distance classes, the disk two
 KERNEL_GRIDS = {
     "disk": build_grid(Domain.ball((0.0, 0.0), 1.0), 0.25, 0.5, 3),  # K = 8
     "box": build_grid(Domain.box([(0, 1)] * 3), 0.25, 0.5, 3),      # K = 26
+    "ball3d": build_grid(Domain.ball((0.0,) * 3, 1.0), 0.25, 0.5, 3),  # 26
 }
 
 
@@ -296,14 +299,15 @@ def argmax_reference(grid, vals):
 
 
 def assert_kernel_matches_reference(grid, vals):
-    dinf, g, coef, pairs = solver._monotone_parts(
-        grid, vals, vals[grid.interior_idx])
+    c = vals[grid.interior_idx]
     ref = argmax_reference(grid, vals)
-    for a, b in zip((dinf, g, coef), ref[:3]):
-        assert np.array_equal(a, b)
-    assert len(pairs) == len(ref[3]) == grid.dim
-    for (up, dn), (ref_up, ref_dn) in zip(pairs, ref[3]):
-        assert np.array_equal(up, ref_up) and np.array_equal(dn, ref_dn)
+    for upwind in (False, True):
+        dinf, g, coef, axis_up = solver._monotone_parts(grid, vals, c, upwind)
+        for a, b in zip((dinf, g, coef), ref[:3]):
+            assert np.array_equal(a, b)
+    assert len(axis_up) == len(ref[3]) == grid.dim
+    for up, (ref_up, ref_dn) in zip(axis_up, ref[3]):
+        assert np.array_equal(up, np.maximum(ref_up, ref_dn))
 
 
 @given(kernel_inputs())
@@ -328,6 +332,29 @@ def test_kernel_extremum_rows(name, pattern):
     extremum = (slopes.max(axis=1) <= 0.0) | (slopes.min(axis=1) >= 0.0)
     assert np.all(extremum) if pattern == "checkerboard" \
         else not np.any(extremum)
+    assert_kernel_matches_reference(g, vals)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+def test_kernel_cross_class_tie_and_flat_field(name):
+    g = KERNEL_GRIDS[name]
+    # flat: every slope is 0, every row a discrete maximum and minimum
+    assert_kernel_matches_reference(g, np.full(g.n_nodes, 1.7))
+    # a regular row whose largest slope is reached exactly by column 0
+    # (the longest arm) and by the -e_0 arm, of length h = 2^-2, so that
+    # argmax keeps the long arm while the classes meet shortest first
+    rng = np.random.default_rng(7)
+    vals = rng.uniform(0.5, 1.5, g.n_nodes)
+    row = np.setdiff1d(np.arange(g.interior_idx.size), g.irregular_rows)[0]
+    nbr, d = g.nbr_index[row], g.nbr_dist[row]
+    axis = g.offset_column(-np.eye(g.dim, dtype=int)[0])
+    vals[g.interior_idx[row]] = 0.0
+    vals[nbr] = rng.uniform(-1.0, 0.5, d.size) * d
+    vals[nbr[0]] = 0.8 * d[0]
+    vals[nbr[axis]] = g.h * (vals[nbr[0]] / d[0])
+    slopes = vals[nbr] / d
+    assert slopes[0] == slopes[axis] == slopes.max() > 0.0 > slopes.min()
+    assert d[0] > d[axis]
     assert_kernel_matches_reference(g, vals)
 
 
