@@ -112,15 +112,22 @@ class Barrier:
 # continuity modulus by geometric back-off
 # ---------------------------------------------------------------------------
 
-def _modulus_backoff(grid, bd, anchor_pt, anchor_t, anchor_val, eps,
-                     delta0, tau0, max_halvings=60):
-    """Shrink (delta, tau) until the sampled oscillation of h on the
-    space-time neighborhood of the anchor is <= eps."""
+def _pt_samples(grid, bd):
+    """(h, sample position, time) at every P_T node-level of the grid: what
+    _modulus_backoff reads, sampled once per (bd, grid)."""
     pt = classify_parabolic_boundary(grid).pt_mask
-    vals = sample_datum(bd, grid)[pt]
     node, level = np.nonzero(pt)
-    dx = np.linalg.norm(grid.sample_pos[node] - np.asarray(anchor_pt), axis=1)
-    dt_ = np.abs(grid.t[level] - anchor_t)
+    return sample_datum(bd, grid)[pt], grid.sample_pos[node], grid.t[level]
+
+
+def _modulus_backoff(samples, anchor_pt, anchor_t, anchor_val, eps,
+                     delta0, tau0, max_halvings=60):
+    """Shrink (delta, tau) until the oscillation of the P_T samples of h
+    (from _pt_samples) on the space-time neighborhood of the anchor is
+    <= eps."""
+    vals, pos, times = samples
+    dx = np.linalg.norm(pos - np.asarray(anchor_pt), axis=1)
+    dt_ = np.abs(times - anchor_t)
     delta, tau = float(delta0), float(tau0)
     for _ in range(max_halvings):
         sel = (dx <= delta) & (dt_ <= tau)
@@ -159,7 +166,7 @@ def _flat_barrier(family, anchor, eps, bd, kind, datum):
     return Barrier(spec, kind, lambda pts, t: np.full(len(pts), value))
 
 
-def _glued(kind, family, y, eps, bd, grid):
+def _glued(kind, family, y, eps, bd, grid, pt_samples=None):
     """alpha (interior anchor) or beta (boundary anchor) barrier at t = 0.
 
     The radial profile on the ball B_delta(y) runs from the center
@@ -184,7 +191,10 @@ def _glued(kind, family, y, eps, bd, grid):
         delta0 = 0.98 * float(dom.boundary_distance(y[None, :])[0])
     else:
         delta0 = 0.5 * dom.diameter()
-    delta, tau = _modulus_backoff(grid, bd, y, 0.0, fy, eps, delta0, grid.T)
+    if pt_samples is None:
+        pt_samples = _pt_samples(grid, bd)
+    delta, tau = _modulus_backoff(pt_samples, y, 0.0, fy, eps, delta0,
+                                  grid.T)
     if sub:
         glue, center = bd.m - 2.0 * eps, fy - 2.0 * eps
         low, high, table = glue, center, decay_table()
@@ -231,27 +241,30 @@ def _glued(kind, family, y, eps, bd, grid):
     return Barrier(BarrierSpec(name, anchor, eps, derived), kind, evaluate)
 
 
-def make_alpha_sub(y, eps, bd, grid):
+# The makers take pt_samples = _pt_samples(grid, bd) when the caller has it;
+# the family builders pass it so that P_T is sampled once per family.
+
+def make_alpha_sub(y, eps, bd, grid, pt_samples=None):
     """Sub barrier anchored at an interior point at t = 0."""
-    return _glued("sub", "alpha", y, eps, bd, grid)
+    return _glued("sub", "alpha", y, eps, bd, grid, pt_samples)
 
 
-def make_beta_sub(y, eps, bd, grid):
+def make_beta_sub(y, eps, bd, grid, pt_samples=None):
     """Sub barrier anchored at a boundary point at t = 0."""
-    return _glued("sub", "beta", y, eps, bd, grid)
+    return _glued("sub", "beta", y, eps, bd, grid, pt_samples)
 
 
-def make_alpha_sup(y, eps, bd, grid):
+def make_alpha_sup(y, eps, bd, grid, pt_samples=None):
     """Super barrier anchored at an interior point at t = 0."""
-    return _glued("super", "alpha", y, eps, bd, grid)
+    return _glued("super", "alpha", y, eps, bd, grid, pt_samples)
 
 
-def make_beta_sup(y, eps, bd, grid):
+def make_beta_sup(y, eps, bd, grid, pt_samples=None):
     """Super barrier anchored at a boundary point at t = 0."""
-    return _glued("super", "beta", y, eps, bd, grid)
+    return _glued("super", "beta", y, eps, bd, grid, pt_samples)
 
 
-def _lateral_anchor(kind, family, y, s, eps, bd, grid):
+def _lateral_anchor(kind, family, y, s, eps, bd, grid, pt_samples):
     """Prologue of the gamma makers at the lateral anchor (y, s).
 
     Returns (y, h(y, s), flat, delta, tau): flat is the constant barrier
@@ -266,7 +279,9 @@ def _lateral_anchor(kind, family, y, s, eps, bd, grid):
     flat = _flat_barrier(family, (tuple(y), s), eps, bd, kind, hys)
     if flat is not None:
         return y, hys, flat, None, None
-    delta, tau = _modulus_backoff(grid, bd, y, s, hys, eps,
+    if pt_samples is None:
+        pt_samples = _pt_samples(grid, bd)
+    delta, tau = _modulus_backoff(pt_samples, y, s, hys, eps,
                                   0.5 * grid.domain.diameter(),
                                   min(s, grid.T - s))
     return y, hys, None, delta, tau
@@ -282,7 +297,7 @@ def _tent(k, s, tau, t):
     return None
 
 
-def make_gamma_sub_cone(y, s, eps, bd, grid):
+def make_gamma_sub_cone(y, s, eps, bd, grid, pt_samples=None):
     """Sub barrier at a lateral anchor (y, s), s > 0: the double cone bump.
 
     In the log variable the lower cone solves the equation exactly
@@ -290,7 +305,7 @@ def make_gamma_sub_cone(y, s, eps, bd, grid):
     and c^4 + 3k above it.
     """
     y, hys, flat, delta0, tau = _lateral_anchor("sub", "gamma_sub_cone", y,
-                                                s, eps, bd, grid)
+                                                s, eps, bd, grid, pt_samples)
     if flat is not None:
         return flat
     log_ratio = math.log((hys - 2.0 * eps) / (bd.m - 2.0 * eps))
@@ -335,10 +350,10 @@ def make_gamma_sub_cone(y, s, eps, bd, grid):
     return Barrier(spec, "sub", evaluate, region_residual)
 
 
-def make_gamma_sup_cusp(y, s, eps, bd, grid):
+def make_gamma_sup_cusp(y, s, eps, bd, grid, pt_samples=None):
     """Super barrier at a lateral anchor (y, s): the cusp bump."""
     y, hys, flat, delta1, tau = _lateral_anchor("super", "gamma_sup_cusp", y,
-                                                s, eps, bd, grid)
+                                                s, eps, bd, grid, pt_samples)
     if flat is not None:
         return flat
     gam = math.log((bd.M + 2.0 * eps) / (bd.m + 2.0 * eps))
@@ -799,12 +814,13 @@ def perron_family_inf(barrs, grid):
 def _build_family(makers, grid, bd, eps, space_stride, time_stride,
                   interior_stride):
     alpha, beta, gamma = makers
-    fam = [alpha(grid.sample_pos[i], eps, bd, grid)
+    pts = _pt_samples(grid, bd)
+    fam = [alpha(grid.sample_pos[i], eps, bd, grid, pts)
            for i in grid.interior_idx[::interior_stride]]
-    fam += [beta(grid.sample_pos[i], eps, bd, grid)
+    fam += [beta(grid.sample_pos[i], eps, bd, grid, pts)
             for i in grid.boundary_idx[::space_stride]]
     for j in range(1, grid.time_levels - 1, time_stride):
-        fam += [gamma(grid.sample_pos[i], grid.t[j], eps, bd, grid)
+        fam += [gamma(grid.sample_pos[i], grid.t[j], eps, bd, grid, pts)
                 for i in grid.boundary_idx[::space_stride]]
     return fam
 

@@ -17,6 +17,16 @@ one point that counts as outside.  The lattice-shaped array ``node_of``
 holds the node number of each kept point (-1 elsewhere), so a stencil
 column is one gather at the flat indices ``flat_i + offset . strides``.
 
+The grid also keeps the lattice for the solver, without the pad:
+``node_flat`` is the flat lattice position of each node and ``flat_off``
+the flat offset of each stencil column.  The stencil of an interior node
+stays inside the lattice, so these offsets never wrap.  The interior nodes
+lie in the flat range [lo, hi) (at ``interior_pos`` in it), and on a flat
+array of lattice values stencil column k of that range is the contiguous
+slice [lo + flat_off[k], hi + flat_off[k]).  The range also holds ring
+and off-domain points; the solver keeps its results only at
+``interior_pos``.
+
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Node-level
 pairs are classified once into {initial, lateral, interior}; the parabolic
 boundary P_T consists of the initial slab plus the lateral entries with
@@ -161,8 +171,9 @@ class CylinderGrid:
     prescribed values at their projected sample positions; every interior
     node has a full 3^n - 1 stencil whose entries are interior or ring
     nodes.  The neighbor tables are stored in Fortran order, so
-    ``nbr_index.T`` and ``nbr_dist.T`` are C-contiguous (K, Ni) views whose
-    rows the solver reads one stencil column at a time.
+    ``nbr_index.T`` and ``nbr_dist.T`` are C-contiguous (K, Ni) views.
+    The solver reads neighbour values from a flat array of lattice values
+    instead (see the module docstring and stencil_extremes).
     """
 
     domain: Domain
@@ -176,6 +187,9 @@ class CylinderGrid:
     nbr_dist: np.ndarray      # (Ni, K) stencil distances, F order
     offsets: np.ndarray       # (K, n) canonical offsets
     t: np.ndarray             # (L,) time levels, t[0]=0, t[-1]=T
+    node_flat: np.ndarray     # (N,) flat lattice position per node
+    flat_off: np.ndarray      # (K,) flat lattice offset per column
+    lattice_size: int         # points of the lattice
 
     @property
     def n_nodes(self):
@@ -194,6 +208,26 @@ class CylinderGrid:
         key = tuple(int(v) for v in offset)
         return self._offset_lookup[key]
 
+    def stencil_extremes(self, lat):
+        """Max and min of the stencil values per axis set, from the flat
+        lattice values lat.
+
+        For an axis set S (bit i = axis i) the arms z + sum_{i in S} (+-e_i)
+        are the 2^|S| stencil offsets whose nonzero entries lie on S.
+        Returns, per entry of stencil_classes, its length and the list of
+        (max, min) over those arms of each of its axis sets, as arrays
+        over the interior range [lo, hi) that the caller may overwrite.
+        Each set takes one max and one min: it is the extreme of two slices
+        of the set without its lowest axis i, shifted by -e_i and +e_i.
+        """
+        tops = [lat[self._window]]
+        bots = tops[:]
+        for P, a, b in self._plan:
+            tops.append(np.maximum(tops[P][a], tops[P][b]))
+            bots.append(np.minimum(bots[P][a], bots[P][b]))
+        return [(d, [(tops[S][w], bots[S][w]) for S, w in sets])
+                for d, sets in self.stencil_classes]
+
     def __post_init__(self):
         self._offset_lookup = {
             tuple(int(v) for v in off): k for k, off in enumerate(self.offsets)
@@ -207,19 +241,39 @@ class CylinderGrid:
         axes = np.eye(self.dim, dtype=int)
         self.axis_columns = ([self.offset_column(e) for e in axes],
                              [self.offset_column(-e) for e in axes])
-        # (off, -off) pairs per arm length h|off|, axes first and in axis order
+        # the interior range [lo, hi) of the lattice and the position in it
+        # of every interior row
+        int_pos = self.node_flat[self.interior_idx]
+        self.lo, self.hi = int(int_pos[0]), int(int_pos[-1]) + 1
+        self.interior_pos = int_pos - self.lo
+        # the plan of stencil_extremes: entry S of size |S| covers the
+        # interior range widened on each side by the strides of the axes
+        # outside S, and is built from entry S minus its lowest axis
+        strides = self.flat_off[self.axis_columns[0]].tolist()
+        size, span = self.hi - self.lo, [sum(strides)]
+        self._window = slice(self.lo - span[0], self.hi + span[0])
+        self._plan = []
+        for S in range(1, 2 ** self.dim):
+            P = S & (S - 1)
+            step = 2 * strides[(S ^ P).bit_length() - 1]
+            span.append(span[P] - step // 2)
+            n = size + 2 * span[S]
+            self._plan.append((P, slice(0, n), slice(step, step + n)))
+        # distance classes, shortest first: class m holds the arms with m
+        # nonzero offset entries, all of length h sqrt(m); as (length, the
+        # axis sets of size m, each with its slice on the interior range)
         lat = self.h * np.linalg.norm(self.offsets, axis=-1)
-        pairs = list(zip(*self.axis_columns)) + [
-            (k, self.offset_column(-off)) for k, off in enumerate(self.offsets)
-            if np.abs(off).sum() > 1 and tuple(off) > tuple(-off)]
-        self.stencil_classes = [(d, [p for p in pairs if lat[p[0]] == d])
-                                for d in sorted(set(lat.tolist()))]
-        # rows with an arm off h |off|, and their (K, n_irr) sub-tables
+        nnz = np.abs(self.offsets).sum(axis=1)
+        self.stencil_classes = [
+            (float(lat[nnz == m][0]),
+             [(S, slice(span[S], span[S] + size))
+              for S in range(1, 2 ** self.dim) if bin(S).count("1") == m])
+            for m in range(1, self.dim + 1)]
+        # rows with an arm off h |off|, and their (K, n_irr) distances
         self.irregular_rows = np.flatnonzero(
             np.any(self.nbr_dist.T != lat[:, None], axis=0))
-        self.irregular_index, self.irregular_dist = (
-            np.ascontiguousarray(t.T[:, self.irregular_rows])
-            for t in (self.nbr_index, self.nbr_dist))
+        self.irregular_dist = np.ascontiguousarray(
+            self.nbr_dist.T[:, self.irregular_rows])
 
 
 @dataclass
@@ -340,11 +394,16 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
         d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
         dist[k, row] = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
 
+    # the solver reads stencils from the unpadded lattice: the stencil of
+    # an interior node stays inside it, so its flat offsets never wrap
+    lat_strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     t = np.linspace(0.0, T, time_levels)
     return CylinderGrid(
         domain=domain, h=float(h), T=float(T), time_levels=int(time_levels),
         pos=pos, sample_pos=sample_pos, interior_mask=interior,
         nbr_index=nbr.T, nbr_dist=dist.T, offsets=offsets, t=t,
+        node_flat=np.flatnonzero(keep), flat_off=offsets @ lat_strides,
+        lattice_size=keep.size,
     )
 
 

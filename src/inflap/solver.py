@@ -52,15 +52,22 @@ dt ~ h^3; the collar error vanishes under refinement and is measured
 directly against the exact separable solutions in the acceptance suite.
 
 One kernel serves the stepper, the CFL rule and the monotone
-discrete_infinity_laplacian.  It reduces by distance class (the columns
-whose lattice arms h |off| share one length d): per column one gather and
-one max and min of the raw values, per class one subtract and one divide.
+discrete_infinity_laplacian.  It reads neighbours from a flat array of
+lattice values (see grids), on which a stencil column is a contiguous
+slice, and reduces by distance class (the arms h |off| with the same
+number of nonzero entries share one length d).  The grid's
+stencil_extremes gives, per axis set, the max and min of the raw values
+over its arms with one slice max and one slice min each; the kernel
+merges the sets of a class, gathers the class max and min onto the
+interior rows, and takes one subtract and one divide per class.
 Rounding is monotone, so fl(fl(max_k v_k - v_c)/d) = max_k fl(fl(v_k -
 v_c)/d) bit for bit, as are the min and the eta upwind terms.  Irregular
 (ball ring) rows, and minmax rows where two classes tie for an extreme
 slope, are redone in argmax form, whose first-column tie rule may pick
 another arm length; extremum rows take the cusp branch, which ignores it.
-solve() gathers the interior once per in-place step, then the ring.
+Those rows read their arms as lat[position + flat_off].  solve() marches
+the interior values and writes them and the ring data back to the lattice
+array once per step.
 """
 
 from __future__ import annotations
@@ -128,75 +135,176 @@ class SolveResult:
 CUSP = 64.0 / 81.0  # D_inf(u0 - c r^(4/3)) -> -(64/81) c^3 at the origin
 
 
-def _monotone_parts(grid, vals, c, upwind=False):
-    """Monotone D_inf estimate and its center-sensitivity bound.
+def _lattice_parts(grid, lat, c, upwind=False, grad=True):
+    """The monotone kernel on a flat array of lattice values.
 
-    Returns (dinf, g, coef_c, axis_up) for c = vals[interior_idx]: the
-    wide-stencil minmax operator with the cusp-consistent branch at
-    discrete local extrema, the gradient magnitude estimate used for
-    diffusivity capping, a per-node bound on -d(dinf)/d(v_c) for the CFL
+    Returns (dinf, g, coef_c, axis_up) over the interior rows, for the
+    neighbour values in lat and the centre values c: the wide-stencil
+    minmax operator with the cusp-consistent branch at discrete local
+    extrema, the gradient magnitude estimate used for diffusivity capping
+    (None unless grad), a per-node bound on -d(dinf)/d(v_c) for the CFL
     rule, and the upwind slope max((v_{+i} - v_c)/d_{+i},
     (v_{-i} - v_c)/d_{-i}) of every axis (an empty list unless upwind).
     """
-    idx = grid.nbr_index.T
+    rows = grid.interior_pos
     axis_up = []
     sp, tie = None, False
-    for d, pairs in grid.stencil_classes:
+    for d, pairs in grid.stencil_extremes(lat):
         top = bot = None
-        for kp, km in pairs:
-            a, b = vals[idx[kp]], vals[idx[km]]
-            hi = np.maximum(a, b)
-            np.minimum(a, b, out=a)
-            if upwind and sp is None:   # the axis class: (+e_i, -e_i)
-                axis_up.append((hi - c) / d)
-            top = hi if top is None else np.maximum(top, hi, out=top)
-            bot = a if bot is None else np.minimum(bot, a, out=bot)
-        top, bot = ((v - c) / d for v in (top, bot))
+        for a, b in pairs:
+            if upwind and sp is None:   # the axis class, in axis order
+                axis_up.append(_slope(a[rows], c, d))
+            if top is None:   # merged in place: a, b are fresh arrays
+                top, bot = a, b
+            else:
+                np.maximum(top, a, out=top)
+                np.minimum(bot, b, out=bot)
+        top, bot = _slope(top[rows], c, d), _slope(bot[rows], c, d)
         if sp is None:
-            sp, sm, dp, dm = top, bot, d, d
+            sp, sm = top, bot
+            dp, dm = np.full(c.shape, d), np.full(c.shape, d)
             continue
         tie = tie | (top == sp) | (bot == sm)
-        dp = np.where(top > sp, d, dp)
+        np.putmask(dp, top > sp, d)
         np.maximum(sp, top, out=sp)
-        dm = np.where(bot < sm, d, dm)
+        np.putmask(dm, bot < sm, d)
         np.minimum(sm, bot, out=sm)
 
     # argmax form, ties to the first column, on the irregular rows and on
     # the minmax rows where two classes reach the same extreme slope
-    exact = [(grid.irregular_rows, grid.irregular_index, grid.irregular_dist)]
-    if np.ndim(dp) == 0:   # one class: no merge, no arm-length arrays
-        dp, dm = np.full_like(c, dp), np.full_like(c, dm)
-    else:
+    exact = [(grid.irregular_rows, grid.irregular_dist)]
+    if tie is not False:   # more than one class
         ties = np.flatnonzero(tie)
         ties = ties[(sp[ties] > 0.0) & (sm[ties] < 0.0)]
-        exact.append((ties, idx[:, ties], grid.nbr_dist.T[:, ties]))
+        exact.append((ties, grid.nbr_dist.T[:, ties]))
     plus, minus = grid.axis_columns
-    for rows, idx_r, dist_r in exact:
-        if rows.size:
-            s = vals[idx_r] - c[rows]
-            s /= dist_r
-            kp, km, n = s.argmax(0), s.argmin(0), np.arange(rows.size)
-            sp[rows], sm[rows] = s[kp, n], s[km, n]
-            dp[rows], dm[rows] = dist_r[kp, n], dist_r[km, n]
+    for r, dist in exact:
+        if r.size:
+            s = _neighbours(grid, lat, r) - c[r]
+            s /= dist
+            n = np.arange(r.size)
+            kp, km = s.argmax(0) * r.size + n, s.argmin(0) * r.size + n
+            sp[r], sm[r] = s.take(kp), s.take(km)
+            dp[r], dm[r] = dist.take(kp), dist.take(km)
             for u, p, m in zip(axis_up, plus, minus):
-                u[rows] = np.maximum(s[p], s[m])
+                u[r] = np.maximum(s[p], s[m])
 
-    g = np.maximum(np.maximum(sp, -sm), 0.0)
-    g2 = (0.5 * (sp - sm)) ** 2
-    dinf = g2 * (2.0 * (sp + sm) / (dp + dm))
-    coef_c = 2.0 * g2 / (dp * dm)
+    # in place from here on (at 20k rows a fresh temporary adds about a
+    # third to the pass that fills it): g = max(sp, -sm, 0), g2 =
+    # (0.5 (sp - sm))^2, dinf = g2 (2 (sp + sm) / (dp + dm)) and coef_c =
+    # 2 g2 / (dp dm), each rounding as written
+    g = None
+    if grad:
+        g = np.negative(sm)
+        np.maximum(sp, g, out=g)
+        np.maximum(g, 0.0, out=g)
+    g2 = np.subtract(sp, sm)
+    g2 *= 0.5
+    np.square(g2, out=g2)
+    dinf = np.add(sp, sm)
+    dinf *= 2.0
+    den = np.add(dp, dm)
+    dinf /= den
+    dinf *= g2
+    coef_c = np.multiply(g2, 2.0, out=g2)
+    coef_c /= np.multiply(dp, dm, out=den)
 
-    # discrete maxima, then minima (a flat node is both; the minimum wins)
-    for rows, sign in ((np.flatnonzero(sp <= 0.0), -1.0),
-                       (np.flatnonzero(sm >= 0.0), 1.0)):
-        if rows.size:
-            q = vals[grid.nbr_index[rows]] - c[rows, None]
-            q /= grid.nbr_dist43[:, rows].T
-            cusp_c = np.maximum(np.max(sign * q, axis=1), 0.0)
-            dinf[rows] = sign * CUSP * cusp_c ** 3
-            coef_c[rows] = 3.0 * CUSP * cusp_c ** 2 / \
-                grid.dmin[rows] ** (4.0 / 3.0)
+    # discrete maxima (sign -1) and minima (+1); a flat row is both, and
+    # takes the minimum's sign
+    r = np.flatnonzero((sp <= 0.0) | (sm >= 0.0))
+    if r.size:
+        sign = np.where(sm[r] >= 0.0, 1.0, -1.0)
+        q = _neighbours(grid, lat, r) - c[r]
+        q /= grid.nbr_dist43[:, r]
+        cusp_c = np.maximum(np.max(sign * q, axis=0), 0.0)
+        dinf[r] = sign * CUSP * cusp_c ** 3
+        coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin[r] ** (4.0 / 3.0)
     return dinf, g, coef_c, axis_up
+
+
+def _slope(v, c, d):
+    """(v - c) / d, in place on the fresh array v."""
+    v -= c
+    v /= d
+    return v
+
+
+def _neighbours(grid, lat, r):
+    """(K, len(r)) stencil values of the interior rows r, from lat."""
+    return lat[(grid.flat_off + grid.lo)[:, None] + grid.interior_pos[r]]
+
+
+def _lattice_rhs_coef(grid, lat, c, config, cap):
+    """Monotone right-hand side dv/dt and the CFL coefficient over the
+    interior rows, for the neighbour values in lat and the centre values c.
+
+    coef is a per-node bound on -d(rhs)/d(v_c), scaled so that
+    dt <= cfl / max(coef) keeps the update non-decreasing in the center
+    value.  With coef_c from _lattice_parts,
+    eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
+    phi mode:  coef = coef_c / (3 max(phi, floor)^2),
+    where the gradient cap, when set, scales coef_c down and clips Q.
+    """
+    tiny = 1e-300
+    eta = config.variable == "eta"
+    dinf, g, coef_c, axis_up = _lattice_parts(grid, lat, c, upwind=eta,
+                                              grad=cap is not None)
+    # in place, each rounding as in the formulas above
+    if eta:
+        # axiswise upwind |D eta|^2 estimate (monotone in neighbor values)
+        for up in axis_up:
+            np.maximum(up, 0.0, out=up)
+            np.square(up, out=up)
+        q2 = axis_up[0]
+        for up in axis_up[1:]:
+            q2 += up
+        if cap is not None:
+            scale = np.maximum(g, tiny, out=g)
+            np.divide(cap, scale, out=scale)
+            np.minimum(scale, 1.0, out=scale)
+            dinf *= scale
+            dinf *= scale
+            coef_c *= scale
+            coef_c *= scale
+            np.minimum(q2, cap * cap, out=q2)
+        q3 = np.sqrt(q2)
+        q3 *= q2
+        dinf += np.square(q2, out=q2)
+        dinf /= 3.0
+        q3 *= 4.0 * math.sqrt(grid.dim)
+        q3 /= grid.dmin
+        coef_c += q3
+        coef_c /= 3.0
+        return dinf, coef_c
+    phi_safe = np.maximum(c, config.positivity_floor)
+    fac = np.multiply(phi_safe, phi_safe)
+    np.divide(1.0, fac, out=fac)
+    if cap is not None:
+        shrink = np.divide(g, phi_safe, out=g)
+        np.maximum(shrink, tiny, out=shrink)
+        np.divide(cap, shrink, out=shrink)
+        np.minimum(shrink, 1.0, out=shrink)
+        fac *= shrink
+        fac *= shrink
+    dinf *= fac
+    dinf /= 3.0
+    coef_c *= fac
+    coef_c /= 3.0
+    return dinf, coef_c
+
+
+def _on_lattice(grid, vals):
+    """Node values vals on a fresh lattice array, 0 at the lattice points
+    that are not nodes."""
+    lat = np.zeros(grid.lattice_size)
+    lat[grid.node_flat] = vals
+    return lat
+
+
+def _monotone_parts(grid, vals, c, upwind=False):
+    """_lattice_parts for node values vals: returns (dinf, g, coef_c,
+    axis_up) over the interior rows for c = vals[interior_idx]."""
+    return _lattice_parts(grid, _on_lattice(grid, vals), c, upwind)
 
 
 def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
@@ -207,7 +315,8 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     residual work).  Returns an array over grid.interior_idx.
     """
     if mode == "monotone_minmax":
-        return _monotone_parts(grid, vals, vals[grid.interior_idx])[0]
+        return _lattice_parts(grid, _on_lattice(grid, vals),
+                              vals[grid.interior_idx], grad=False)[0]
     if mode == "centered_diagnostic":
         dinf, _ = transforms._infinity_laplacian_centered(
             grid, vals, grid.h, grid.nbr_index)
@@ -216,40 +325,11 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
 
 
 def _rhs_and_coef(grid, vals, config, cap, c=None):
-    """Monotone right-hand side dv/dt and the CFL coefficient, one pass.
-
-    Returns (rhs over interior rows, coef: per-node bound on -d(rhs)/d(v_c)
-    scaled so that dt <= cfl / max(coef) keeps the update non-decreasing
-    in the center value); c is vals[interior_idx] if the caller has it.
-    With coef_c from _monotone_parts,
-    eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
-    phi mode:  coef = coef_c / (3 max(phi, floor)^2),
-    where the gradient cap, when set, scales coef_c down and clips Q.
-    """
-    tiny = 1e-300
+    """_lattice_rhs_coef for node values vals: returns (rhs, coef) over the
+    interior rows; c is vals[interior_idx] if the caller has it."""
     if c is None:
         c = vals[grid.interior_idx]
-    eta = config.variable == "eta"
-    dinf, g, coef_c, axis_up = _monotone_parts(grid, vals, c, upwind=eta)
-    if eta:
-        # axiswise upwind |D eta|^2 estimate (monotone in neighbor values)
-        q2 = sum(np.square(np.maximum(up, 0.0)) for up in axis_up)
-        if cap is not None:
-            scale = np.minimum(cap / np.maximum(g, tiny), 1.0)
-            dinf = dinf * scale * scale
-            coef_c = coef_c * scale * scale
-            q2 = np.minimum(q2, cap * cap)
-        q3 = q2 * np.sqrt(q2)
-        rhs = (dinf + q2 * q2) / 3.0
-        coef = (coef_c + 4.0 * math.sqrt(grid.dim) * q3 / grid.dmin) / 3.0
-        return rhs, coef
-    phi_safe = np.maximum(c, config.positivity_floor)
-    fac = 1.0 / (phi_safe * phi_safe)
-    if cap is not None:
-        r = g / phi_safe
-        shrink = np.minimum(cap / np.maximum(r, tiny), 1.0)
-        fac = fac * shrink * shrink
-    return dinf * fac / 3.0, coef_c * fac / 3.0
+    return _lattice_rhs_coef(grid, _on_lattice(grid, vals), c, config, cap)
 
 
 def cfl_dt(grid, vals, config, cap=None):
@@ -284,17 +364,21 @@ def solve(grid, bd, config=None):
     L = grid.time_levels
     eta = config.variable == "eta"
     floor = config.positivity_floor
-    ii = grid.interior_idx
-    bidx = grid.boundary_idx
-    bpts = grid.sample_pos[bidx]
+    nodes = grid.node_flat
+    ring = nodes[grid.boundary_idx]
+    bpts = grid.sample_pos[grid.boundary_idx]
 
     def to_variable(phi):
         phi = np.asarray(phi, dtype=float)
         return np.log(np.maximum(phi, floor)) if eta else phi
 
+    # the interior values c are marched; lat holds every node's value for
+    # the stencil reads
     values = np.empty((grid.n_nodes, L))
-    work = to_variable(bd.f(grid.sample_pos)).copy()
-    values[:, 0] = work
+    values[:, 0] = to_variable(bd.f(grid.sample_pos))
+    lat = _on_lattice(grid, values[:, 0])
+    c = values[grid.interior_idx, 0]
+    inner = grid.lo + grid.interior_pos
     dt_history = []
     flags = {"positivity_ok": True, "cfl_shrunk": False}
 
@@ -302,13 +386,13 @@ def solve(grid, bd, config=None):
         t_now = grid.t[j - 1]
         t_target = grid.t[j]
         while t_now < t_target - 1e-14 * grid.T:
-            c = work[ii]
-            rhs, coef = _rhs_and_coef(grid, work, config, cap, c)
+            rhs, coef = _lattice_rhs_coef(grid, lat, c, config, cap)
             dt = config.cfl / max(float(np.max(coef)), 1e-300)
             dt = min(dt, t_target - t_now)
-            c += dt * rhs
-            work[ii] = c
-            work[bidx] = to_variable(bd.g(bpts, t_now + dt))
+            rhs *= dt
+            c += rhs
+            lat[inner] = c
+            lat[ring] = to_variable(bd.g(bpts, t_now + dt))
             if dt < 1e-13 * grid.T:
                 raise StiffnessError(
                     f"time step collapsed to {dt:.3e} at t={t_now:.6g}; "
@@ -318,7 +402,8 @@ def solve(grid, bd, config=None):
                 wmin = float(np.min(c))
                 if wmin < floor:
                     if bd.zero_lateral_ok:
-                        np.clip(work, 0.0, None, out=work)
+                        np.clip(c, 0.0, None, out=c)
+                        np.clip(lat, 0.0, None, out=lat)
                         flags["positivity_ok"] = flags["positivity_ok"] and \
                             wmin >= 0.0
                     else:
@@ -332,7 +417,7 @@ def solve(grid, bd, config=None):
                 raise StiffnessError(
                     f"exceeded max_steps={config.max_steps}"
                 )
-        values[:, j] = work
+        values[:, j] = lat[nodes]
     if len(dt_history) > L - 1:
         flags["cfl_shrunk"] = True
 
@@ -342,6 +427,6 @@ def solve(grid, bd, config=None):
     if config.summarize_residual and L >= 3:
         if eta:
             summary = transforms.residual_Gamma(GridField(grid, values, "eta"))
-        elif np.all(fld.values[ii] > 0):
+        elif np.all(fld.values[grid.interior_idx] > 0):
             summary = transforms.residual_Pi(fld)
     return SolveResult(fld, dt_history, summary, flags, config)

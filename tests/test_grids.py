@@ -337,7 +337,7 @@ def test_build_grid_matches_reference(name):
 def test_arm_lengths_classes_and_irregular_rows(name):
     # box and interval arms have the lattice length h |off| exactly; a ball
     # row is irregular (some arm off that length) exactly when it has a
-    # ring arm, and its cached sub-tables are the (K, n_irr) C-order ones
+    # ring arm, and its cached distances are the (K, n_irr) C-order ones
     dom, h = REFERENCE_DOMAINS[name]
     g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
     lat = h * np.linalg.norm(g.offsets, axis=-1)
@@ -347,18 +347,52 @@ def test_arm_lengths_classes_and_irregular_rows(name):
         assert np.array_equal(g.irregular_rows, ring_rows)
     else:
         assert np.all(g.nbr_dist == lat) and g.irregular_rows.size == 0
-    for sub, table in ((g.irregular_index, g.nbr_index),
-                       (g.irregular_dist, g.nbr_dist)):
-        assert sub.flags.c_contiguous
-        assert np.array_equal(sub, table[g.irregular_rows].T)
-    # the distance classes pair up all K columns by length, shortest first;
-    # the first is the axis class in axis order
+    assert g.irregular_dist.flags.c_contiguous
+    assert np.array_equal(g.irregular_dist, g.nbr_dist[g.irregular_rows].T)
+    # the distance classes hold every axis set once, by size, shortest
+    # first; class m is the length of the arms with m nonzero entries
+    nnz = np.abs(g.offsets).sum(axis=1)
     lengths = [d for d, _ in g.stencil_classes]
     assert lengths == sorted(set(lat.tolist())) and len(lengths) == dom.dim
-    cols = [k for d, pairs in g.stencil_classes for pair in pairs
-            for k in pair if lat[k] == d]
-    assert sorted(cols) == list(range(lat.size))
-    assert g.stencil_classes[0][1] == list(zip(*g.axis_columns))
+    for m, (d, sets) in enumerate(g.stencil_classes, start=1):
+        assert np.all(lat[nnz == m] == d)
+        assert all(bin(S).count("1") == m for S, _ in sets)
+    assert sorted(S for _, sets in g.stencil_classes for S, _ in sets) == \
+        list(range(1, 2 ** dom.dim))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_lattice_layout_and_stencil_extremes(name):
+    dom, h = REFERENCE_DOMAINS[name]
+    g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
+    # a stencil column is a fixed flat shift of the lattice
+    int_flat = g.node_flat[g.interior_idx]
+    for k in range(g.offsets.shape[0]):
+        assert np.array_equal(g.node_flat[g.nbr_index[:, k]],
+                              int_flat + g.flat_off[k])
+    # the interior nodes fill the range [lo, hi) in increasing order, and
+    # no other lattice point in it is an interior node
+    assert np.all(np.diff(g.node_flat) > 0)
+    assert np.all(np.diff(g.interior_pos) > 0)
+    assert np.array_equal(int_flat, g.lo + g.interior_pos)
+    assert g.interior_pos[0] == 0 and g.lo + g.interior_pos[-1] == g.hi - 1
+    assert g.lattice_size >= g.node_flat[-1] + 1
+    # the extremes of each axis set are the max and min of the neighbour
+    # values over its columns
+    vals = np.random.default_rng(2).uniform(-1.0, 1.0, g.n_nodes)
+    lat = np.full(g.lattice_size, np.nan)
+    lat[g.node_flat] = vals
+    nz = g.offsets != 0
+    bits = nz @ (1 << np.arange(g.dim))
+    nbr = vals[g.nbr_index]
+    with np.errstate(invalid="ignore"):   # NaN off the nodes
+        extremes = g.stencil_extremes(lat)
+    for (d, sets), (_, pairs) in zip(g.stencil_classes, extremes):
+        for (S, _), (top, bot) in zip(sets, pairs):
+            cols = bits == S
+            assert top.size == bot.size == g.hi - g.lo
+            assert np.array_equal(top[g.interior_pos], nbr[:, cols].max(1))
+            assert np.array_equal(bot[g.interior_pos], nbr[:, cols].min(1))
 
 
 def field_to_csv_reference(fld, skip_nan):

@@ -247,6 +247,75 @@ def test_ordered_initial_data_same_lateral():
     assert np.all(r1.field.values <= r2.field.values + 1e-10)
 
 
+def reference_march(grid, bd, cfg):
+    """solve()'s march in node order through the node-ordered kernel entry
+    point: (values, dt_history, flags, positivity clamps taken)."""
+    floor, eta = cfg.positivity_floor, cfg.variable == "eta"
+    cap = solver._resolve_cap(grid, bd, cfg)
+    ii, bi = grid.interior_idx, grid.boundary_idx
+
+    def to_variable(phi):
+        return np.log(np.maximum(phi, floor)) if eta else phi
+
+    work = to_variable(np.asarray(bd.f(grid.sample_pos), dtype=float))
+    values, dts, ok, clamps = [work.copy()], [], True, 0
+    for j in range(1, grid.time_levels):
+        t = grid.t[j - 1]
+        while t < grid.t[j] - 1e-14 * grid.T:
+            rhs, coef = solver._rhs_and_coef(grid, work, cfg, cap)
+            dt = min(cfg.cfl / max(float(np.max(coef)), 1e-300),
+                     grid.t[j] - t)
+            work[ii] += dt * rhs
+            work[bi] = to_variable(bd.g(grid.sample_pos[bi], t + dt))
+            if not eta and work[ii].min() < floor:
+                ok, clamps = ok and bool(work[ii].min() >= 0.0), clamps + 1
+                work = np.maximum(work, 0.0)
+            t += dt
+            dts.append(dt)
+        values.append(work.copy())
+    values = np.stack(values, axis=1)
+    flags = {"positivity_ok": ok, "cfl_shrunk": len(dts) > len(grid.t) - 1}
+    return np.exp(values) if eta else values, dts, flags, clamps
+
+
+def _collar_data():
+    # zero lateral data and a datum that vanishes on the annulus r >= 1/2,
+    # so the auto cap is on and the positivity clamp fires
+    psi = radial.decaying_profile(1.0, LAMBDA_B1, 1.0, fixed_which="m")
+    top = psi.eval(np.array([0.5]))[0]
+    return BoundaryData(
+        f=lambda x: np.maximum(psi.eval(np.minimum(
+            np.linalg.norm(x, axis=-1), 1.0)) - top, 0.0),
+        g=lambda x, t: np.zeros(len(x)), zero_lateral_ok=True)
+
+
+def _growing_data():
+    prof = radial.growing_profile(1.0, 1.0, 1.0)
+    u = lambda x: prof.eval(np.minimum(np.linalg.norm(x, axis=-1), 1.0))
+    return BoundaryData(f=u, g=lambda x, t: u(x) * np.exp(t / 3.0))
+
+
+@pytest.mark.parametrize("case", ["disk-phi", "box3d-eta", "interval-eta"])
+def test_solve_matches_node_ordered_march(case):
+    domain, h, variable, bd = {
+        "disk-phi": (Domain.ball((0.0, 0.0), 1.0), 0.125, "phi",
+                     _collar_data()),
+        "box3d-eta": (Domain.box([(-0.5, 0.5)] * 3), 0.125, "eta",
+                      _growing_data()),
+        "interval-eta": (Domain.interval(-1, 1), 0.1, "eta",
+                         _growing_data()),
+    }[case]
+    g = build_grid(domain, h, 0.1, 4)
+    cfg = solver.SolverConfig(variable=variable, summarize_residual=False)
+    res = solver.solve(g, bd, cfg)
+    values, dts, flags, clamps = reference_march(g, bd, cfg)
+    assert np.array_equal(res.field.values, values)
+    assert res.dt_history == dts and res.flags == flags
+    if case == "disk-phi":
+        assert g.irregular_rows.size and res.field.meta["grad_cap"]
+        assert clamps > 0
+
+
 # ---------------------------------------------------------------------------
 # kernel properties on random positive fields
 # ---------------------------------------------------------------------------
