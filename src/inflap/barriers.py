@@ -717,30 +717,24 @@ def make_exist13_bump(z, theta, jet, w0, delta, nu):
 # discrete semicontinuous envelopes
 # ---------------------------------------------------------------------------
 
-def _space_adjacency(grid):
-    adj = getattr(grid, "_envelope_adj", None)
-    if adj is not None:
-        return adj
-    N = grid.n_nodes
-    nbrs = [[i] for i in range(N)]
-    for row, i in enumerate(grid.interior_idx):
-        for j in grid.nbr_index[row]:
-            nbrs[i].append(int(j))
-            nbrs[int(j)].append(i)
-    deg = max(len(v) for v in nbrs)
-    adj = np.empty((N, deg), dtype=np.int64)
-    for i, v in enumerate(nbrs):
-        pad = v + [i] * (deg - len(v))
-        adj[i] = pad
-    grid._envelope_adj = adj
-    return adj
-
-
-def _sweep(grid, vals, frozen, op):
+def _sweep(grid, lat, vals, frozen, op):
     """One space-time neighborhood reduction by op (np.maximum dilates,
-    np.minimum erodes) with the frozen entries restored."""
-    adj = _space_adjacency(grid)
-    sp = op.reduce(vals[adj], axis=1)
+    np.minimum erodes) with the frozen entries restored.
+
+    The space neighbourhood of an interior node is the node and its
+    stencil, reduced over all levels at once through stencil_extremes on
+    lat, a (lattice_size, L) array that takes the node values; the other
+    nodes are frozen, so only the interior rows are reduced.
+    """
+    lat[grid.node_flat] = vals
+    pick = 0 if op is np.maximum else 1
+    rows = grid.interior_pos
+    ext = vals[grid.interior_idx]
+    for _, sets in grid.stencil_extremes(lat):
+        for extremes in sets:
+            op(ext, extremes[pick][rows], out=ext)
+    sp = vals.copy()
+    sp[grid.interior_idx] = ext
     out = sp.copy()
     out[:, 1:] = op(out[:, 1:], sp[:, :-1])
     out[:, :-1] = op(out[:, :-1], sp[:, 1:])
@@ -759,10 +753,12 @@ def _frozen_mask(grid):
 
 def _envelope(fld, max_sweeps, lift, other):
     """Iterate v <- lift(v, other-sweep(lift-sweep(v))) to a fixed point."""
-    frozen = _frozen_mask(fld.grid)
+    grid = fld.grid
+    frozen = _frozen_mask(grid)
+    lat = np.zeros((grid.lattice_size, grid.time_levels))
     vals = fld.values.copy()
     for _ in range(max_sweeps):
-        cand = _sweep(fld.grid, _sweep(fld.grid, vals, frozen, lift),
+        cand = _sweep(grid, lat, _sweep(grid, lat, vals, frozen, lift),
                       frozen, other)
         new = lift(vals, cand)
         if np.array_equal(new, vals):
@@ -867,6 +863,23 @@ def barrier_catalog_json(barrs, path=None):
 # numeric jet test at seams
 # ---------------------------------------------------------------------------
 
+def _two_ring(grid, node):
+    """The nodes at most two steps from node, in increasing order, where a
+    step joins two nodes at most one lattice step apart along every axis
+    (the stencil of an interior node) of which at least one is interior."""
+    z = np.rint((grid.pos - grid.pos[0]) / grid.h).astype(np.int64)
+    inside = grid.interior_mask
+    ring = [node]
+    for _ in range(2):
+        near = np.zeros(grid.n_nodes, dtype=bool)
+        for i in ring:
+            step = np.max(np.abs(z - z[i]), axis=1) <= 1
+            near |= step if inside[i] else step & inside
+            near[i] = True
+        ring = np.flatnonzero(near)
+    return ring.tolist()
+
+
 def jet_touch_test(fld, node, level, kind="sub", tol=1e-7):
     """Fit the closest quadratic-in-(x,t) touching the field at a node from
     above (sub case; from below for super) on the 2-ring space-time
@@ -878,12 +891,7 @@ def jet_touch_test(fld, node, level, kind="sub", tol=1e-7):
     from scipy.optimize import minimize
 
     grid = fld.grid
-    adj = _space_adjacency(grid)
-    ring1 = set(adj[node])
-    ring2 = set()
-    for i in ring1:
-        ring2.update(adj[i])
-    nodes = sorted(ring2 | ring1 | {node})
+    nodes = _two_ring(grid, node)
     levels = range(max(0, level - 2), min(grid.time_levels, level + 3))
     x0 = grid.sample_pos[node]
     t0 = grid.t[level]

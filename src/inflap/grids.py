@@ -24,8 +24,15 @@ stays inside the lattice, so these offsets never wrap.  The interior nodes
 lie in the flat range [lo, hi) (at ``interior_pos`` in it), and on a flat
 array of lattice values stencil column k of that range is the contiguous
 slice [lo + flat_off[k], hi + flat_off[k]).  The range also holds ring
-and off-domain points; the solver keeps its results only at
-``interior_pos``.
+and off-domain points; the readers keep their results only at
+``interior_pos``.  Every stencil read outside this module uses that
+layout: the solver's kernel and the envelope sweeps through
+stencil_extremes (the sweeps on a (lattice_size, L) array, all levels at
+once), and the centred residuals on a flat array padded by the stencil
+span, so that their 2h slices stay inside it.  The (Ni, K) tables
+``nbr_index`` and ``nbr_dist`` remain as the build's record: this module
+derives the shortest arms and the irregular rows from them, and the
+benchmark probes read their shape and size.
 
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Node-level
 pairs are classified once into {initial, lateral, interior}; the parabolic
@@ -115,19 +122,6 @@ class Domain:
         hi = np.array([b[1] for b in self.bounds])
         return np.all((x > lo) & (x < hi), axis=-1)
 
-    def in_closure(self, x, tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "ball":
-            c, R = self.bounds
-            return np.linalg.norm(x - np.asarray(c), axis=-1) <= R * (1 + tol) + tol
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        span = np.max(hi - lo)
-        return np.all((x >= lo - tol * span) & (x <= hi + tol * span), axis=-1)
-
-    def on_boundary(self, x, tol=1e-9):
-        return self.in_closure(x, tol) & ~self.contains(x)
-
     def project_to_boundary(self, x):
         """Nearest boundary representative used for data sampling."""
         x = np.asarray(x, dtype=float)
@@ -170,10 +164,15 @@ class CylinderGrid:
     Read-only after construction.  Boundary ("ring") nodes carry
     prescribed values at their projected sample positions; every interior
     node has a full 3^n - 1 stencil whose entries are interior or ring
-    nodes.  The neighbor tables are stored in Fortran order, so
-    ``nbr_index.T`` and ``nbr_dist.T`` are C-contiguous (K, Ni) views.
-    The solver reads neighbour values from a flat array of lattice values
-    instead (see the module docstring and stencil_extremes).
+    nodes.  Stencils are read from flat arrays of lattice values through
+    ``node_flat``, ``flat_off`` and the fields derived from them: the
+    interior range ``[lo, hi)`` with ``interior_pos``, the axis
+    ``strides`` and ``stencil_classes`` (see the module docstring and
+    stencil_extremes).  Arm lengths come from ``arm_lengths``, with the
+    shortest arm per row in ``dmin`` and the projected distances of the
+    ``irregular_rows`` in ``irregular_dist``.  The neighbor tables
+    ``nbr_index`` and ``nbr_dist`` are the build's record, stored in
+    Fortran order; no other module reads their entries.
     """
 
     domain: Domain
@@ -219,6 +218,8 @@ class CylinderGrid:
         over the interior range [lo, hi) that the caller may overwrite.
         Each set takes one max and one min: it is the extreme of two slices
         of the set without its lowest axis i, shifted by -e_i and +e_i.
+        lat may also be a (lattice_size, L) array, one column per level;
+        the slices then run along its first axis.
         """
         tops = [lat[self._window]]
         bots = tops[:]
@@ -228,6 +229,12 @@ class CylinderGrid:
         return [(d, [(tops[S][w], bots[S][w]) for S, w in sets])
                 for d, sets in self.stencil_classes]
 
+    def arm_lengths(self, rows):
+        """(K, len(rows)) arm lengths of the interior rows ``rows``: the
+        lattice length h |off| of each column, or the projected distances
+        of an irregular row."""
+        return self._arm_table[:, self._arm_column[rows]]
+
     def __post_init__(self):
         self._offset_lookup = {
             tuple(int(v) for v in off): k for k, off in enumerate(self.offsets)
@@ -235,8 +242,6 @@ class CylinderGrid:
         self.interior_idx = np.flatnonzero(self.interior_mask)
         self.boundary_idx = np.flatnonzero(~self.interior_mask)
         self.dmin = np.min(self.nbr_dist, axis=1)    # (Ni,) shortest arm
-        # (K, Ni) d^(4/3), the distance scale of the solver's cusp branch
-        self.nbr_dist43 = self.nbr_dist.T ** (4.0 / 3.0)
         # neighbor-table columns of +e_i and of -e_i, one per axis
         axes = np.eye(self.dim, dtype=int)
         self.axis_columns = ([self.offset_column(e) for e in axes],
@@ -249,7 +254,7 @@ class CylinderGrid:
         # the plan of stencil_extremes: entry S of size |S| covers the
         # interior range widened on each side by the strides of the axes
         # outside S, and is built from entry S minus its lowest axis
-        strides = self.flat_off[self.axis_columns[0]].tolist()
+        self.strides = strides = self.flat_off[self.axis_columns[0]].tolist()
         size, span = self.hi - self.lo, [sum(strides)]
         self._window = slice(self.lo - span[0], self.hi + span[0])
         self._plan = []
@@ -269,11 +274,15 @@ class CylinderGrid:
              [(S, slice(span[S], span[S] + size))
               for S in range(1, 2 ** self.dim) if bin(S).count("1") == m])
             for m in range(1, self.dim + 1)]
-        # rows with an arm off h |off|, and their (K, n_irr) distances
-        self.irregular_rows = np.flatnonzero(
+        # rows with an arm off h |off|, and their (K, n_irr) distances;
+        # arm_lengths reads a row's column of those, or the lengths h |off|
+        # appended as the last column
+        irr = self.irregular_rows = np.flatnonzero(
             np.any(self.nbr_dist.T != lat[:, None], axis=0))
-        self.irregular_dist = np.ascontiguousarray(
-            self.nbr_dist.T[:, self.irregular_rows])
+        self.irregular_dist = np.ascontiguousarray(self.nbr_dist.T[:, irr])
+        self._arm_table = np.column_stack((self.irregular_dist, lat))
+        self._arm_column = np.full(self.interior_idx.size, irr.size)
+        self._arm_column[irr] = np.arange(irr.size)
 
 
 @dataclass
@@ -462,10 +471,6 @@ class GridField:
     def interior(self):
         """Values at interior nodes, all levels: shape (Ni, L)."""
         return self.values[self.grid.interior_mask]
-
-    def pt_values(self, classification=None):
-        cls = classification or classify_parabolic_boundary(self.grid)
-        return self.values[cls.pt_mask]
 
 
 @dataclass

@@ -176,7 +176,7 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     if tie is not False:   # more than one class
         ties = np.flatnonzero(tie)
         ties = ties[(sp[ties] > 0.0) & (sm[ties] < 0.0)]
-        exact.append((ties, grid.nbr_dist.T[:, ties]))
+        exact.append((ties, grid.arm_lengths(ties)))
     plus, minus = grid.axis_columns
     for r, dist in exact:
         if r.size:
@@ -209,13 +209,14 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     coef_c = np.multiply(g2, 2.0, out=g2)
     coef_c /= np.multiply(dp, dm, out=den)
 
-    # discrete maxima (sign -1) and minima (+1); a flat row is both, and
-    # takes the minimum's sign
+    # discrete maxima (sign -1) and minima (+1); a flat row is both and
+    # takes the minimum's sign, which is immaterial: all its slopes are 0,
+    # so q = 0, dinf = +-0 and coef_c = 0 whichever sign it takes
     r = np.flatnonzero((sp <= 0.0) | (sm >= 0.0))
     if r.size:
         sign = np.where(sm[r] >= 0.0, 1.0, -1.0)
         q = _neighbours(grid, lat, r) - c[r]
-        q /= grid.nbr_dist43[:, r]
+        q /= grid.arm_lengths(r) ** (4.0 / 3.0)
         cusp_c = np.maximum(np.max(sign * q, axis=0), 0.0)
         dinf[r] = sign * CUSP * cusp_c ** 3
         coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin[r] ** (4.0 / 3.0)
@@ -318,9 +319,7 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
         return _lattice_parts(grid, _on_lattice(grid, vals),
                               vals[grid.interior_idx], grad=False)[0]
     if mode == "centered_diagnostic":
-        dinf, _ = transforms._infinity_laplacian_centered(
-            grid, vals, grid.h, grid.nbr_index)
-        return dinf
+        return transforms._infinity_laplacian_centered(grid, vals)[0]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -391,7 +390,6 @@ def solve(grid, bd, config=None):
             dt = min(dt, t_target - t_now)
             rhs *= dt
             c += rhs
-            lat[inner] = c
             lat[ring] = to_variable(bd.g(bpts, t_now + dt))
             if dt < 1e-13 * grid.T:
                 raise StiffnessError(
@@ -403,7 +401,6 @@ def solve(grid, bd, config=None):
                 if wmin < floor:
                     if bd.zero_lateral_ok:
                         np.clip(c, 0.0, None, out=c)
-                        np.clip(lat, 0.0, None, out=lat)
                         flags["positivity_ok"] = flags["positivity_ok"] and \
                             wmin >= 0.0
                     else:
@@ -411,6 +408,7 @@ def solve(grid, bd, config=None):
                             f"positivity floor breached (min {wmin:.3e}); "
                             "switch variable='eta' for this data"
                         )
+            lat[inner] = c
             t_now += dt
             dt_history.append(dt)
             if len(dt_history) > config.max_steps:

@@ -12,6 +12,15 @@ the comparison machinery.
 Every ResidualReport carries a discretization band: 10x the a-posteriori
 truncation estimate obtained by re-evaluating the residual on doubled
 spacing (Richardson), used as the tolerance unit by the test harness.
+
+The centred operator reads the grid's flat lattice (see grids): each
+level's node values go on a flat array padded by the stencil span at each
+end, and the axis and diagonal neighbours of the interior range are its
+slices at step * (+-s_a +- s_b), s_a the stride of axis a.  Step 1 is the
+h pass; step 2, on 2 * flat_off, is the Richardson pass, which the pad
+keeps inside the array.  One routine computes the residual for either
+step.  The 2h pass and the clean rows of a ball use the rows whose whole
+stencil is interior, one lattice mask.
 """
 
 from __future__ import annotations
@@ -68,45 +77,31 @@ def to_phi(fld):
 # centered discrete operators
 # ---------------------------------------------------------------------------
 
-def _diag_columns(grid, ax_i, ax_j):
-    n = grid.dim
+def _infinity_laplacian_centered(grid, level_vals, step=1):
+    """Sum_ab d_a(v) d_b(v) d2_ab(v) with centered differences of spacing
+    step * h (h for step 1, 2h for the Richardson pass, step 2).
 
-    def off(si, sj):
-        z = [0] * n
-        z[ax_i] += si
-        z[ax_j] += sj
-        return grid.offset_column(tuple(z))
-
-    return off(1, 1), off(-1, -1), off(1, -1), off(-1, 1)
-
-
-def _two_hop(grid):
-    """Second-ring neighbor table (node indices; -1 where unavailable)."""
-    row_of = np.full(grid.n_nodes, -1, dtype=np.int64)
-    row_of[grid.interior_idx] = np.arange(grid.interior_idx.size)
-    one = grid.nbr_index
-    rows1 = row_of[one]
-    valid = rows1 >= 0
-    two = np.full_like(one, -1)
-    k = one.shape[1]
-    for col in range(k):
-        ok = valid[:, col]
-        two[ok, col] = grid.nbr_index[rows1[ok, col], col]
-    return two, np.all(valid, axis=1)
-
-
-def _infinity_laplacian_centered(grid, level_vals, spacing, nbr):
-    """Sum_ij d_i(v) d_j(v) d2_ij(v) with centered differences.
-
-    ``nbr`` maps (interior-row, offset-column) -> node index; ``spacing``
-    is the effective axis spacing (h or 2h for the Richardson pass).
-    Returns (delta_inf, grad_sq) over interior rows.
+    The node values go on a flat lattice padded by the stencil span at each
+    end, and every neighbour column is the slice of the interior range
+    shifted by step * (+-s_a +- s_b), s_a the stride of axis a.  The pad
+    keeps the 2h slices inside the array; on rows whose stencil is not
+    all interior they may cross a lattice row, and those rows have no 2h
+    value.  Returns (delta_inf, grad_sq) over interior rows.
     """
     n = grid.dim
-    plus, minus = grid.axis_columns
-    c = level_vals[grid.interior_idx]
-    vp = [level_vals[nbr[:, plus[a]]] for a in range(n)]
-    vm = [level_vals[nbr[:, minus[a]]] for a in range(n)]
+    spacing = step * grid.h
+    pad = sum(grid.strides)
+    lat = np.zeros(grid.lattice_size + 2 * pad)
+    lat[pad + grid.node_flat] = level_vals
+    lo, size = pad + grid.lo, grid.hi - grid.lo
+    s = [step * stride for stride in grid.strides]
+
+    def at(off):
+        return lat[lo + off:lo + off + size]
+
+    c = at(0)
+    vp = [at(s[a]) for a in range(n)]
+    vm = [at(-s[a]) for a in range(n)]
     p = [(vp[a] - vm[a]) / (2.0 * spacing) for a in range(n)]
     grad_sq = sum(pa * pa for pa in p)
     out = np.zeros_like(c)
@@ -115,12 +110,23 @@ def _infinity_laplacian_centered(grid, level_vals, spacing, nbr):
         out += p[a] * p[a] * h_aa
     for a in range(n):
         for b in range(a + 1, n):
-            cpp, cmm, cpm, cmp_ = _diag_columns(grid, a, b)
-            h_ab = (level_vals[nbr[:, cpp]] + level_vals[nbr[:, cmm]]
-                    - level_vals[nbr[:, cpm]] - level_vals[nbr[:, cmp_]]
+            h_ab = (at(s[a] + s[b]) + at(-s[a] - s[b])
+                    - at(s[a] - s[b]) - at(s[b] - s[a])
                     ) / (4.0 * spacing ** 2)
             out += 2.0 * p[a] * p[b] * h_ab
-    return out, grad_sq
+    rows = grid.interior_pos
+    return out[rows], grad_sq[rows]
+
+
+def _inner_rows(grid):
+    """Interior rows whose whole stencil is interior (bool mask): the rows
+    of the Richardson pass, and on balls the clean rows."""
+    inside = np.zeros(grid.lattice_size, dtype=bool)
+    inside[grid.node_flat[grid.interior_idx]] = True
+    ok = np.ones(grid.hi - grid.lo, dtype=bool)
+    for off in grid.flat_off:
+        ok &= inside[grid.lo + off:grid.hi + off]
+    return ok[grid.interior_pos]
 
 
 def _time_derivative(vals, dt, stride=1):
@@ -170,52 +176,20 @@ class ResidualReport:
                     fh.write(f"{coords},{tj:.17g},{self.values[row, j]:.17g}\n")
 
 
-def _residual_core(grid, vals, tag, sigma):
-    dt = grid.dt_level
-    L = grid.time_levels
-    vt = _time_derivative(vals, dt)
-    res = np.full((grid.interior_idx.size, L), np.nan)
-    for j in range(L):
-        dinf, gsq = _infinity_laplacian_centered(grid, vals[:, j], grid.h,
-                                                 grid.nbr_index)
+def _residual(grid, vals, tag, sigma, step, levels):
+    """Residual on the interior rows at the given levels (one column per
+    level), with spacing step * h in space and step * dt in time."""
+    inner = vals[grid.interior_idx]
+    vt = _time_derivative(inner, grid.dt_level, step)
+    res = np.empty((inner.shape[0], len(levels)))
+    for col, j in enumerate(levels):
+        dinf, gsq = _infinity_laplacian_centered(grid, vals[:, j], step)
         if tag == "Pi":
-            c = vals[grid.interior_idx, j]
-            res[:, j] = dinf - 3.0 * c * c * vt[grid.interior_idx, j]
+            c = inner[:, j]
+            res[:, col] = dinf - 3.0 * c * c * vt[:, j]
         else:
-            res[:, j] = (dinf + sigma * gsq * gsq
-                         - 3.0 * vt[grid.interior_idx, j])
+            res[:, col] = dinf + sigma * gsq * gsq - 3.0 * vt[:, j]
     return res
-
-
-def _residual_2h(grid, vals, tag, sigma):
-    """Doubled-spacing residual on the eligible core (or None)."""
-    two, ok1 = _two_hop(grid)
-    row_of = np.full(grid.n_nodes, -1, dtype=np.int64)
-    row_of[grid.interior_idx] = np.arange(grid.interior_idx.size)
-    eligible = ok1 & np.all(two >= 0, axis=1)
-    L = grid.time_levels
-    if not np.any(eligible) or L < 5:
-        return None, None
-    dt = grid.dt_level
-    res = np.full((grid.interior_idx.size, L), np.nan)
-    vt = _time_derivative(vals, dt, stride=2)
-    safe = np.where(two >= 0, two, 0)
-    for j in range(2, L - 2):
-        dinf, gsq = _infinity_laplacian_centered(grid, vals[:, j],
-                                                 2.0 * grid.h, safe)
-        if tag == "Pi":
-            c = vals[grid.interior_idx, j]
-            res[:, j] = dinf - 3.0 * c * c * vt[grid.interior_idx, j]
-        else:
-            res[:, j] = (dinf + sigma * gsq * gsq
-                         - 3.0 * vt[grid.interior_idx, j])
-    return res, eligible
-
-
-def _clean_rows(grid):
-    return np.all(grid.interior_mask[grid.nbr_index], axis=1) | (
-        grid.domain.kind != "ball"
-    )
 
 
 def heuristic_band(grid, vals):
@@ -226,22 +200,22 @@ def heuristic_band(grid, vals):
 
 
 def _make_report(grid, vals, tag, sigma):
-    res = _residual_core(grid, vals, tag, sigma)
-    clean = _clean_rows(grid)
     L = grid.time_levels
+    res = _residual(grid, vals, tag, sigma, 1, range(L))
+    inner = _inner_rows(grid)
+    clean = inner | (grid.domain.kind != "ball")
     onesided = np.zeros(L, dtype=bool)
     onesided[0] = onesided[-1] = True
     centered = ~onesided
     body = res[clean][:, centered]
     sup = float(np.nanmax(np.abs(body))) if body.size else float("nan")
-    res2, elig = _residual_2h(grid, vals, tag, sigma)
-    nrows = res.shape[0]
-    band_nodes = np.full(nrows, np.nan)
-    if res2 is not None and L > 4:
-        diff = np.abs(res[:, 2:L - 2] - res2[:, 2:L - 2])
+    band_nodes = np.full(res.shape[0], np.nan)
+    if L > 4 and np.any(inner):
+        res2 = _residual(grid, vals, tag, sigma, 2, range(2, L - 2))
+        diff = np.abs(res[inner, 2:L - 2] - res2[inner])
         with np.errstate(invalid="ignore"):
             per_row = np.nanmax(diff, axis=1) / 3.0
-        band_nodes[elig] = 10.0 * per_row[elig] + 1e-13
+        band_nodes[inner] = 10.0 * per_row + 1e-13
     usable = clean & np.isfinite(band_nodes)
     if np.any(usable):
         band = float(np.max(band_nodes[usable]))

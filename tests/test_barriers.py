@@ -369,6 +369,75 @@ class TestExist13Bump:
         assert gap == pytest.approx(delta, rel=1e-9)
 
 
+def _space_adjacency(grid):
+    """Oracle: row i lists node i, then every node that shares a stencil
+    with it (an interior row's stencil, or the interior rows whose stencil
+    holds node i), padded with i."""
+    nbrs = [[i] for i in range(grid.n_nodes)]
+    for row, i in enumerate(grid.interior_idx):
+        for j in grid.nbr_index[row]:
+            nbrs[i].append(int(j))
+            nbrs[int(j)].append(i)
+    deg = max(len(v) for v in nbrs)
+    return np.array([v + [i] * (deg - len(v)) for i, v in enumerate(nbrs)])
+
+
+def _envelope_oracle(fld, lift, other, max_sweeps=64):
+    """Oracle: the envelope iteration with gathered neighbourhoods."""
+    adj = _space_adjacency(fld.grid)
+    frozen = B._frozen_mask(fld.grid)
+
+    def sweep(vals, op):
+        sp = op.reduce(vals[adj], axis=1)
+        out = sp.copy()
+        out[:, 1:] = op(out[:, 1:], sp[:, :-1])
+        out[:, :-1] = op(out[:, :-1], sp[:, 1:])
+        out[frozen] = vals[frozen]
+        return out
+
+    vals = fld.values.copy()
+    for _ in range(max_sweeps):
+        new = lift(vals, sweep(sweep(vals, lift), other))
+        if np.array_equal(new, vals):
+            break
+        vals = new
+    return vals
+
+
+@pytest.mark.parametrize("dom,h", [
+    (Domain.interval(-1.0, 1.0), 0.1),
+    (Domain.box([(0.0, 1.0), (0.0, 0.8)]), 0.1),
+    (Domain.box([(-0.5, 0.5)] * 3), 0.1),
+    (Domain.ball((0.0, 0.0), 1.0), 0.05),
+    (Domain.ball((0.1, 0.0, -0.2), 1.0), 0.125),
+], ids=["interval", "box2d", "box3d", "disk", "ball3d"])
+def test_envelopes_match_adjacency_oracle(dom, h):
+    # stencil_extremes over all levels reproduces the gathered sweep, NaN
+    # entries and their spread included
+    g = build_grid(dom, h, 0.5, 6)
+    rng = np.random.default_rng(8)
+    vals = np.exp(rng.normal(scale=0.3, size=(g.n_nodes, g.time_levels)))
+    holed = vals.copy()
+    holed[g.interior_idx[g.interior_idx.size // 3], 3] = np.nan
+    for v, sweeps in ((vals, 64), (holed, 4)):
+        fld = GridField(g, v, "phi")
+        for env, lift, other in ((B.usc_envelope, np.maximum, np.minimum),
+                                 (B.lsc_envelope, np.minimum, np.maximum)):
+            got = env(fld, max_sweeps=sweeps).values
+            ref = _envelope_oracle(fld, lift, other, sweeps)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert not np.array_equal(got, v, equal_nan=True)
+
+
+def test_two_ring_matches_adjacency_oracle():
+    g = build_grid(Domain.ball((0.0, 0.0), 1.0), 0.25, 0.5, 5)
+    adj = _space_adjacency(g)
+    for node in range(g.n_nodes):
+        ring1 = set(adj[node])
+        ring2 = set().union(*(adj[i] for i in ring1))
+        assert B._two_ring(g, node) == sorted(ring2 | ring1 | {node})
+
+
 class TestEnvelopes:
     def test_continuous_field_unchanged(self):
         g = build_grid(Domain.interval(0.0, 1.0), 0.1, 0.5, 6)

@@ -349,6 +349,9 @@ def test_arm_lengths_classes_and_irregular_rows(name):
         assert np.all(g.nbr_dist == lat) and g.irregular_rows.size == 0
     assert g.irregular_dist.flags.c_contiguous
     assert np.array_equal(g.irregular_dist, g.nbr_dist[g.irregular_rows].T)
+    # arm_lengths gives any rows' arms, irregular or not, in any order
+    rows = np.r_[g.irregular_rows[::-1], np.arange(0, g.interior_idx.size, 7)]
+    assert np.array_equal(g.arm_lengths(rows), g.nbr_dist[rows].T)
     # the distance classes hold every axis set once, by size, shortest
     # first; class m is the length of the arms with m nonzero entries
     nnz = np.abs(g.offsets).sum(axis=1)

@@ -68,7 +68,7 @@ class TestDiscreteOperator:
         target = -prof.lam * vals[g.interior_idx] ** 3
         ri = r[g.interior_idx]
         # away from both the center cusp and the projected boundary ring
-        sel = transforms._clean_rows(g) & (ri > 0.4) & (ri < 0.85)
+        sel = transforms._inner_rows(g) & (ri > 0.4) & (ri < 0.85)
         assert np.max(np.abs(cen - target)[sel]) < 2e-2
 
     def test_cusp_branch_value_at_peak(self):

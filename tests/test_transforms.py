@@ -81,11 +81,116 @@ class TestResidualClosedForms:
         # u = |x|^2/2 has D u = x, D^2 u = I, so Delta_inf u = |x|^2
         g = ball_grid(h=0.1)
         vals = 0.5 * np.sum(g.sample_pos ** 2, axis=1)
-        dinf, gsq = tf._infinity_laplacian_centered(g, vals, g.h, g.nbr_index)
+        dinf, gsq = tf._infinity_laplacian_centered(g, vals)
         r2 = np.sum(g.sample_pos[g.interior_idx] ** 2, axis=1)
-        clean = tf._clean_rows(g)
+        clean = tf._inner_rows(g)
         assert np.max(np.abs(dinf - r2)[clean]) < 1e-12
         assert np.max(np.abs(gsq - r2)[clean]) < 1e-12
+
+
+def _gather_centered(grid, level_vals, spacing, nbr):
+    """Oracle: the centered contraction gathered through a node table
+    nbr[row, column] (the stencil, or its second ring for the 2h pass)."""
+    n = grid.dim
+    plus, minus = grid.axis_columns
+    c = level_vals[grid.interior_idx]
+    vp = [level_vals[nbr[:, plus[a]]] for a in range(n)]
+    vm = [level_vals[nbr[:, minus[a]]] for a in range(n)]
+    p = [(vp[a] - vm[a]) / (2.0 * spacing) for a in range(n)]
+    grad_sq = sum(pa * pa for pa in p)
+    out = np.zeros_like(c)
+    for a in range(n):
+        h_aa = (vp[a] + vm[a] - 2.0 * c) / spacing ** 2
+        out += p[a] * p[a] * h_aa
+    for a in range(n):
+        for b in range(a + 1, n):
+            e_a, e_b = np.eye(n, dtype=int)[[a, b]]
+            cpp, cmm, cpm, cmp_ = (grid.offset_column(z) for z in
+                                   (e_a + e_b, -e_a - e_b, e_a - e_b, e_b - e_a))
+            h_ab = (level_vals[nbr[:, cpp]] + level_vals[nbr[:, cmm]]
+                    - level_vals[nbr[:, cpm]] - level_vals[nbr[:, cmp_]]
+                    ) / (4.0 * spacing ** 2)
+            out += 2.0 * p[a] * p[b] * h_ab
+    return out, grad_sq
+
+
+def _second_ring(grid):
+    """Oracle: the node two steps along each stencil column (node 0 where
+    there is none), and the rows that have all of them."""
+    row_of = np.full(grid.n_nodes, -1)
+    row_of[grid.interior_idx] = np.arange(grid.interior_idx.size)
+    rows1 = row_of[grid.nbr_index]
+    valid = rows1 >= 0
+    two = np.full_like(grid.nbr_index, -1)
+    for col in range(two.shape[1]):
+        ok = valid[:, col]
+        two[ok, col] = grid.nbr_index[rows1[ok, col], col]
+    eligible = np.all(valid, axis=1) & np.all(two >= 0, axis=1)
+    return np.where(two >= 0, two, 0), eligible
+
+
+def _gather_report(grid, vals, tag, sigma):
+    """Oracle: (values, sup_norm, band, band_nodes, clean_rows) of a
+    residual report gathered through nbr_index and its second ring."""
+    idx, L, dt = grid.interior_idx, grid.time_levels, grid.dt_level
+    two, eligible = _second_ring(grid)
+
+    def residual(spacing, nbr, stride, levels):
+        vt = tf._time_derivative(vals, dt, stride)
+        res = np.full((idx.size, L), np.nan)
+        for j in levels:
+            dinf, gsq = _gather_centered(grid, vals[:, j], spacing, nbr)
+            if tag == "Pi":
+                c = vals[idx, j]
+                res[:, j] = dinf - 3.0 * c * c * vt[idx, j]
+            else:
+                res[:, j] = dinf + sigma * gsq * gsq - 3.0 * vt[idx, j]
+        return res
+
+    res = residual(grid.h, grid.nbr_index, 1, range(L))
+    clean = np.all(grid.interior_mask[grid.nbr_index], axis=1) | (
+        grid.domain.kind != "ball")
+    sup = float(np.nanmax(np.abs(res[clean][:, 1:-1])))
+    res2 = residual(2.0 * grid.h, two, 2, range(2, L - 2))
+    per_row = np.nanmax(np.abs(res[:, 2:L - 2] - res2[:, 2:L - 2]), axis=1)
+    band_nodes = np.full(idx.size, np.nan)
+    band_nodes[eligible] = 10.0 * (per_row / 3.0)[eligible] + 1e-13
+    band = float(np.max(band_nodes[clean & np.isfinite(band_nodes)]))
+    return res, sup, band, band_nodes, clean
+
+
+@pytest.mark.parametrize("dom,h", [
+    (Domain.interval(-1.0, 1.0), 0.1),
+    (Domain.box([(0.0, 1.0), (0.0, 0.8)]), 0.1),
+    (Domain.box([(-0.5, 0.5)] * 3), 0.1),
+    (Domain.ball((0.0, 0.0), 1.0), 0.05),
+    (Domain.ball((0.1, 0.0, -0.2), 1.0), 0.125),
+], ids=["interval", "box2d", "box3d", "disk", "ball3d"])
+def test_lattice_residual_matches_gather_oracle(dom, h):
+    # the slice operator, the lattice row mask and the one residual routine
+    # reproduce the gather-based report bit for bit, band included
+    g = build_grid(dom, h, 0.5, 7)
+    rng = np.random.default_rng(3)
+    x = g.sample_pos
+    vals = np.exp(0.4 * g.t + (x @ np.linspace(0.5, -0.3, g.dim))[:, None]
+                  + 0.05 * rng.normal(size=(g.n_nodes, g.time_levels)))
+    fld = GridField(g, vals, "phi")
+    eta = tf.to_eta(fld)
+    for rep, ref in ((tf.residual_Pi(fld), _gather_report(g, vals, "Pi", 1.0)),
+                     (tf.residual_Gamma(eta, sigma=0.7),
+                      _gather_report(g, eta.values, "Gamma", 0.7))):
+        got = (rep.values, rep.sup_norm, rep.band, rep.band_nodes,
+               rep.clean_rows)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b, equal_nan=True)
+    # the operator itself at h and at 2h, on the rows of the 2h pass
+    two, eligible = _second_ring(g)
+    assert np.array_equal(tf._inner_rows(g), eligible) and eligible.any()
+    for step, nbr in ((1, g.nbr_index), (2, two)):
+        got = tf._infinity_laplacian_centered(g, vals[:, 3], step)
+        ref = _gather_centered(g, vals[:, 3], step * g.h, nbr)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a[eligible], b[eligible])
 
 
 class TestSeparable:
