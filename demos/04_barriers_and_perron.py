@@ -12,7 +12,7 @@ from inflap import barriers as B
 from inflap import harness, solver
 from inflap.catalog import make_data
 from inflap.grids import (BoundaryData, Domain, build_grid,
-                          classify_parabolic_boundary, sample_boundary_data)
+                          sample_boundary_data)
 
 grid = build_grid(Domain.interval(0.0, 1.0), 0.1, 0.5, 11)
 bd = BoundaryData(
@@ -21,7 +21,6 @@ bd = BoundaryData(
     * np.exp(-t))
 hfield = sample_boundary_data(bd, grid)
 eps = 0.05 * (bd.M - bd.m)
-cls = classify_parabolic_boundary(grid)
 
 print(f"data range on P_T: m={bd.m:.4f}, M={bd.M:.4f}; pin eps={eps:.4f}")
 print("\n== the six families, pinned to h -/+ 2 eps at their anchors ==")
@@ -42,7 +41,7 @@ for name, b in catalog:
     pin = float(b.eval(y[None, :], s)[0])
     worst = -np.inf
     for j, tj in enumerate(grid.t):
-        mask = cls.pt_mask[:, j]
+        mask = grid.pt_mask[:, j]     # the P_T nodes at level j
         if not mask.any():
             continue
         v = b.eval(grid.sample_pos[mask], tj)

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import GridField, classify_parabolic_boundary, sample_datum
+from .grids import GridField, sample_boundary_data
 from .quadrature import bisect_monotone, decay_table, grow_table
 from .radial import RadialProfile, decaying_profile, growing_profile
 
@@ -115,9 +115,9 @@ class Barrier:
 def _pt_samples(grid, bd):
     """(h, sample position, time) at every P_T node-level of the grid: what
     _modulus_backoff reads, sampled once per (bd, grid)."""
-    pt = classify_parabolic_boundary(grid).pt_mask
-    node, level = np.nonzero(pt)
-    return sample_datum(bd, grid)[pt], grid.sample_pos[node], grid.t[level]
+    node, level = np.nonzero(grid.pt_mask)
+    return (sample_boundary_data(bd, grid).values[grid.pt_mask],
+            grid.sample_pos[node], grid.t[level])
 
 
 def _modulus_backoff(samples, anchor_pt, anchor_t, anchor_val, eps,
@@ -717,24 +717,18 @@ def make_exist13_bump(z, theta, jet, w0, delta, nu):
 # discrete semicontinuous envelopes
 # ---------------------------------------------------------------------------
 
-def _sweep(grid, lat, vals, frozen, op):
+def _sweep(grid, vals, frozen, op):
     """One space-time neighborhood reduction by op (np.maximum dilates,
     np.minimum erodes) with the frozen entries restored.
 
-    The space neighbourhood of an interior node is the node and its
-    stencil, reduced over all levels at once through stencil_extremes on
-    lat, a (lattice_size, L) array that takes the node values; the other
-    nodes are frozen, so only the interior rows are reduced.
+    The space neighbourhood of an interior node is the 3^n box around it,
+    reduced over all levels at once by grid.box_reduce; the other nodes
+    are frozen, so only the interior rows are reduced.  The box is the
+    grid's, not the solver's stencil, so a wider kernel stencil leaves the
+    envelopes as they are.
     """
-    lat[grid.node_flat] = vals
-    pick = 0 if op is np.maximum else 1
-    rows = grid.interior_pos
-    ext = vals[grid.interior_idx]
-    for _, sets in grid.stencil_extremes(lat):
-        for extremes in sets:
-            op(ext, extremes[pick][rows], out=ext)
     sp = vals.copy()
-    sp[grid.interior_idx] = ext
+    sp[grid.interior_idx] = grid.box_reduce(grid.lattice(vals), op)
     out = sp.copy()
     out[:, 1:] = op(out[:, 1:], sp[:, :-1])
     out[:, :-1] = op(out[:, :-1], sp[:, 1:])
@@ -752,14 +746,18 @@ def _frozen_mask(grid):
 
 
 def _envelope(fld, max_sweeps, lift, other):
-    """Iterate v <- lift(v, other-sweep(lift-sweep(v))) to a fixed point."""
+    """Iterate v <- lift(v, other-sweep(lift-sweep(v))) to a fixed point.
+
+    Raises ValueError on non-finite entries: a NaN would spread over every
+    free entry and keep the iteration from reaching its fixed point.
+    """
+    if not np.all(np.isfinite(fld.values)):
+        raise ValueError("envelopes need a finite field")
     grid = fld.grid
     frozen = _frozen_mask(grid)
-    lat = np.zeros((grid.lattice_size, grid.time_levels))
     vals = fld.values.copy()
     for _ in range(max_sweeps):
-        cand = _sweep(grid, lat, _sweep(grid, lat, vals, frozen, lift),
-                      frozen, other)
+        cand = _sweep(grid, _sweep(grid, vals, frozen, lift), frozen, other)
         new = lift(vals, cand)
         if np.array_equal(new, vals):
             break

@@ -35,7 +35,7 @@ from . import barriers as bar
 from .catalog import CATALOG, catalog_entries, make_data
 from .grids import (BoundaryData, DataError, Domain, GridConfigError,
                     build_grid, field_to_csv, grid_to_json,
-                    sample_boundary_data)
+                    sample_boundary_data, write_csv)
 from .quadrature import QuadratureError
 from .radial import RadialParameterError
 
@@ -116,10 +116,6 @@ def _load_config(path):
     return cfg
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 class Emitter:
     def __init__(self, out_dir):
         self.out = Path(out_dir)
@@ -133,10 +129,7 @@ class Emitter:
 
     def write_csv(self, name, header, rows):
         path = self.out / "fields" / name
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(path, header, rows)
         return path
 
     def finish(self, cfg, seed):

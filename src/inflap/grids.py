@@ -17,28 +17,30 @@ one point that counts as outside.  The lattice-shaped array ``node_of``
 holds the node number of each kept point (-1 elsewhere), so a stencil
 column is one gather at the flat indices ``flat_i + offset . strides``.
 
-The grid also keeps the lattice for the solver, without the pad:
-``node_flat`` is the flat lattice position of each node and ``flat_off``
-the flat offset of each stencil column.  The stencil of an interior node
-stays inside the lattice, so these offsets never wrap.  The interior nodes
-lie in the flat range [lo, hi) (at ``interior_pos`` in it), and on a flat
-array of lattice values stencil column k of that range is the contiguous
-slice [lo + flat_off[k], hi + flat_off[k]).  The range also holds ring
-and off-domain points; the readers keep their results only at
-``interior_pos``.  Every stencil read outside this module uses that
-layout: the solver's kernel and the envelope sweeps through
-stencil_extremes (the sweeps on a (lattice_size, L) array, all levels at
-once), and the centred residuals on a flat array padded by the stencil
-span, so that their 2h slices stay inside it.  The (Ni, K) tables
-``nbr_index`` and ``nbr_dist`` remain as the build's record: this module
-derives the shortest arms and the irregular rows from them, and the
-benchmark probes read their shape and size.
+The grid keeps that lattice flat for every stencil read: ``node_flat`` is
+the flat lattice position of each node and ``flat_off`` the flat offset of
+each stencil column.  The flat lattice is padded at both ends by the
+stencil span ``sum(strides)``, so that slices at twice a stencil offset
+(the 2h residual pass) stay inside the array; ``lattice()`` puts node
+values on a fresh such array.  The interior nodes lie in the flat range
+[lo, hi) (at ``interior_pos`` in it), and on a flat array of lattice
+values stencil column k of that range is the contiguous slice
+[lo + flat_off[k], hi + flat_off[k]).  The range also holds ring and
+off-domain points; the readers keep their results only at
+``interior_pos``.  Two reductions read that layout: stencil_extremes,
+per axis set, for the solver's kernel, and ``box_reduce``, the max or min
+over the 3^n box around each interior row, for the envelope sweeps and for
+``inner_rows`` (the rows whose whole stencil is interior, where the
+residuals take their 2h pass and balls their clean rows).  The two are
+separate so that the kernel's stencil can change without moving either.
+The (Ni, K) tables ``nbr_index`` and ``nbr_dist`` remain as the build's
+record: this module derives the shortest arms and the irregular rows from
+them, and the benchmark probes read their shape and size.
 
-The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Node-level
-pairs are classified once into {initial, lateral, interior}; the parabolic
-boundary P_T consists of the initial slab plus the lateral entries with
-t < T (the t = T lateral slab is stored but is not part of P_T, matching
-the half-open lateral boundary).
+The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Its
+parabolic boundary P_T is ``pt_mask``, an (N, L) bool: the initial slab
+plus the ring entries with t < T (the t = T ring slab is stored but is not
+part of P_T, matching the half-open lateral boundary).
 """
 
 from __future__ import annotations
@@ -55,18 +57,14 @@ __all__ = [
     "CylinderGrid",
     "GridField",
     "BoundaryData",
-    "Classification",
     "GridConfigError",
     "DataError",
     "build_grid",
-    "classify_parabolic_boundary",
     "sample_boundary_data",
-    "sample_datum",
     "grid_to_json",
     "field_to_csv",
+    "write_csv",
 ]
-
-INTERIOR, INITIAL, LATERAL = 0, 1, 2
 
 
 class GridConfigError(ValueError):
@@ -164,15 +162,19 @@ class CylinderGrid:
     Read-only after construction.  Boundary ("ring") nodes carry
     prescribed values at their projected sample positions; every interior
     node has a full 3^n - 1 stencil whose entries are interior or ring
-    nodes.  Stencils are read from flat arrays of lattice values through
-    ``node_flat``, ``flat_off`` and the fields derived from them: the
+    nodes.  Stencils are read from flat arrays of lattice values, padded
+    by the stencil span at both ends, that ``lattice()`` fills through
+    ``node_flat``; ``flat_off`` and the fields derived from it give the
     interior range ``[lo, hi)`` with ``interior_pos``, the axis
-    ``strides`` and ``stencil_classes`` (see the module docstring and
-    stencil_extremes).  Arm lengths come from ``arm_lengths``, with the
-    shortest arm per row in ``dmin`` and the projected distances of the
-    ``irregular_rows`` in ``irregular_dist``.  The neighbor tables
-    ``nbr_index`` and ``nbr_dist`` are the build's record, stored in
-    Fortran order; no other module reads their entries.
+    ``strides`` and ``stencil_classes`` (see the module docstring,
+    stencil_extremes and box_reduce).  Arm lengths come from
+    ``arm_lengths``, with the shortest arm per row in ``dmin`` and the
+    projected distances of the ``irregular_rows`` in ``irregular_dist``.
+    The geometry of the cylinder is computed once here: ``pt_mask``, the
+    (N, L) membership in P_T, and ``inner_rows``, the interior rows whose
+    whole stencil is interior.  The neighbor tables ``nbr_index`` and
+    ``nbr_dist`` are the build's record, stored in Fortran order; no other
+    module reads their entries.
     """
 
     domain: Domain
@@ -188,7 +190,7 @@ class CylinderGrid:
     t: np.ndarray             # (L,) time levels, t[0]=0, t[-1]=T
     node_flat: np.ndarray     # (N,) flat lattice position per node
     flat_off: np.ndarray      # (K,) flat lattice offset per column
-    lattice_size: int         # points of the lattice
+    lattice_size: int         # points of the padded flat lattice
 
     @property
     def n_nodes(self):
@@ -218,8 +220,6 @@ class CylinderGrid:
         over the interior range [lo, hi) that the caller may overwrite.
         Each set takes one max and one min: it is the extreme of two slices
         of the set without its lowest axis i, shifted by -e_i and +e_i.
-        lat may also be a (lattice_size, L) array, one column per level;
-        the slices then run along its first axis.
         """
         tops = [lat[self._window]]
         bots = tops[:]
@@ -228,6 +228,31 @@ class CylinderGrid:
             bots.append(np.minimum(bots[P][a], bots[P][b]))
         return [(d, [(tops[S][w], bots[S][w]) for S, w in sets])
                 for d, sets in self.stencil_classes]
+
+    def lattice(self, vals):
+        """Node values vals, (N,) or (N, L), on a fresh flat lattice array,
+        (lattice_size,) or (lattice_size, L), 0 at the points that are not
+        nodes."""
+        lat = np.zeros((self.lattice_size,) + np.shape(vals)[1:])
+        lat[self.node_flat] = vals
+        return lat
+
+    def box_reduce(self, lat, op):
+        """op (np.maximum or np.minimum) over the 3^n box around every
+        interior row, the row itself included, of the flat lattice values
+        lat ((lattice_size,) or (lattice_size, L)); returns the rows in
+        interior_idx order.
+
+        One three-point pass per axis, on the interior range widened by
+        the strides of the axes still to come, so that each pass shrinks
+        it by its own stride on each side.
+        """
+        span = sum(self.strides)
+        box = lat[self.lo - span:self.hi + span]
+        for s in self.strides:
+            n = len(box) - 2 * s
+            box = op(op(box[:n], box[s:s + n]), box[2 * s:])
+        return box[self.interior_pos]
 
     def arm_lengths(self, rows):
         """(K, len(rows)) arm lengths of the interior rows ``rows``: the
@@ -283,22 +308,15 @@ class CylinderGrid:
         self._arm_table = np.column_stack((self.irregular_dist, lat))
         self._arm_column = np.full(self.interior_idx.size, irr.size)
         self._arm_column[irr] = np.arange(irr.size)
-
-
-@dataclass
-class Classification:
-    """Partition of node x level pairs into {interior, initial, lateral}."""
-
-    codes: np.ndarray    # (N, L) uint8
-    pt_mask: np.ndarray  # (N, L) bool: membership in P_T
-
-    @property
-    def counts(self):
-        return {
-            "interior": int(np.sum(self.codes == INTERIOR)),
-            "initial": int(np.sum(self.codes == INITIAL)),
-            "lateral": int(np.sum(self.codes == LATERAL)),
-        }
+        # the rows whose 3^n box holds interior nodes only
+        inside = np.zeros(self.lattice_size, dtype=bool)
+        inside[int_pos] = True
+        self.inner_rows = self.box_reduce(inside, np.minimum)
+        # P_T: every node at t = 0 and the ring nodes at t < T (the lateral
+        # boundary is half-open in time)
+        self.pt_mask = np.zeros((self.n_nodes, self.time_levels), dtype=bool)
+        self.pt_mask[:, 0] = True
+        self.pt_mask[self.boundary_idx] |= self.t < self.T * (1.0 - 1e-12)
 
 
 def _shifted(padded, off):
@@ -403,36 +421,20 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
         d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
         dist[k, row] = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
 
-    # the solver reads stencils from the unpadded lattice: the stencil of
-    # an interior node stays inside it, so its flat offsets never wrap
+    # the stencil reads use the lattice without the one-point pad, flat and
+    # padded by the stencil span at both ends: the stencil of an interior
+    # node stays inside the lattice, so its flat offsets never wrap, and
+    # twice those offsets stay inside the padded array
     lat_strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    span = int(lat_strides.sum())
     t = np.linspace(0.0, T, time_levels)
     return CylinderGrid(
         domain=domain, h=float(h), T=float(T), time_levels=int(time_levels),
         pos=pos, sample_pos=sample_pos, interior_mask=interior,
         nbr_index=nbr.T, nbr_dist=dist.T, offsets=offsets, t=t,
-        node_flat=np.flatnonzero(keep), flat_off=offsets @ lat_strides,
-        lattice_size=keep.size,
+        node_flat=np.flatnonzero(keep) + span, flat_off=offsets @ lat_strides,
+        lattice_size=keep.size + 2 * span,
     )
-
-
-def classify_parabolic_boundary(grid):
-    """Partition node x level pairs and mark P_T membership.
-
-    Level 0 is the initial slab for every spatial node (corner nodes on
-    the lateral boundary at t=0 count once, as initial).  Ring nodes at
-    levels >= 1 are lateral; the lateral entries with t = T are excluded
-    from P_T because the lateral boundary is half-open in time.
-    """
-    N, L = grid.n_nodes, grid.time_levels
-    codes = np.full((N, L), INTERIOR, dtype=np.uint8)
-    codes[:, 0] = INITIAL
-    codes[~grid.interior_mask, 1:] = LATERAL
-    pt = np.zeros((N, L), dtype=bool)
-    pt[:, 0] = True
-    before_T = grid.t < grid.T * (1.0 - 1e-12)
-    pt[~grid.interior_mask, :] |= before_T[None, :]
-    return Classification(codes=codes, pt_mask=pt)
 
 
 @dataclass
@@ -468,10 +470,6 @@ class GridField:
         return GridField(self.grid, self.values.copy(), self.variable_tag,
                          dict(self.meta))
 
-    def interior(self):
-        """Values at interior nodes, all levels: shape (Ni, L)."""
-        return self.values[self.grid.interior_mask]
-
 
 @dataclass
 class BoundaryData:
@@ -496,32 +494,24 @@ class BoundaryData:
         return np.asarray(self.g(points, tval), dtype=float)
 
 
-def sample_datum(bd, grid):
-    """h at the stored boundary samples, (N, L): f on the initial slab, g
-    at ring nodes on later levels (t = T included), NaN elsewhere."""
-    vals = np.full((grid.n_nodes, grid.time_levels), np.nan)
-    vals[:, 0] = bd.f(grid.sample_pos)
-    bpts = grid.sample_pos[grid.boundary_idx]
-    for j in range(1, grid.time_levels):
-        vals[grid.boundary_idx, j] = bd.g(bpts, grid.t[j])
-    return vals
-
-
 def sample_boundary_data(bd, grid, continuity_tol=1e-6):
-    """Sample h on P_T; returns a GridField laid out as sample_datum's.
+    """Sample h on P_T; returns an (N, L) GridField with f on the initial
+    slab, g at the ring nodes on later levels, and NaN elsewhere.
 
-    That field holds f at t = 0 and g at the ring nodes at every level,
-    t = T included, and is NaN elsewhere.  The ring nodes at t = T are not
-    in P_T, so callers that want P_T alone mask with
-    classify_parabolic_boundary(grid).pt_mask.
+    The field also holds g at the ring nodes at t = T, which are not in
+    P_T, so callers that want P_T alone mask with grid.pt_mask.
 
     Records m = inf and M = sup of the samples on bd.  Raises DataError if
     any sample is nonpositive (zero allowed when bd.zero_lateral_ok) or if
     f and g disagree at the lateral boundary at t = 0.
     """
-    cls = classify_parabolic_boundary(grid)
-    vals = sample_datum(bd, grid)
-    samples = vals[cls.pt_mask]
+    vals = np.full((grid.n_nodes, grid.time_levels), np.nan)
+    vals[:, 0] = bd.f(grid.sample_pos)
+    bidx = grid.boundary_idx
+    bpts = grid.sample_pos[bidx]
+    for j in range(1, grid.time_levels):
+        vals[bidx, j] = bd.g(bpts, grid.t[j])
+    samples = vals[grid.pt_mask]
     m = float(np.min(samples))
     M = float(np.max(samples))
     floor_ok = 0.0 if bd.zero_lateral_ok else np.finfo(float).tiny
@@ -531,8 +521,6 @@ def sample_boundary_data(bd, grid, continuity_tol=1e-6):
             + ("" if bd.zero_lateral_ok else
                "; pass zero_lateral_ok for decay experiments")
         )
-    bidx = grid.boundary_idx
-    bpts = grid.sample_pos[bidx]
     g0 = bd.g(bpts, 0.0)
     f0 = bd.f(bpts)
     gap = float(np.max(np.abs(g0 - f0))) if bidx.size else 0.0
@@ -552,7 +540,8 @@ def sample_boundary_data(bd, grid, continuity_tol=1e-6):
 # ---------------------------------------------------------------------------
 
 def grid_to_json(grid, path=None):
-    """JSON description: domain, spacing, time axis, nodes, classification."""
+    """JSON description: domain, spacing, time axis, nodes and their
+    interior flags."""
     dom = grid.domain
     desc = {
         "domain": {"kind": dom.kind, "bounds": dom.bounds, "dim": dom.dim},
@@ -574,13 +563,19 @@ def grid_to_json(grid, path=None):
 def field_to_csv(fld, path, skip_nan=True):
     """CSV rows (x..., t, value) for every stored sample, level by level."""
     grid = fld.grid
-    n = grid.dim
     kept = ~np.isnan(fld.values.T) if skip_nan else np.ones(
         (grid.time_levels, grid.n_nodes), dtype=bool)
     level, node = np.nonzero(kept)
-    rows = np.column_stack(
-        (grid.sample_pos[node], grid.t[level], fld.values[node, level]))
-    line = ",".join(["%.17g"] * (n + 2)) + "\n"
+    write_csv(path, ",".join(f"x{i}" for i in range(grid.dim)) + ",t,value",
+              np.column_stack((grid.sample_pos[node], grid.t[level],
+                               fld.values[node, level])))
+
+
+def write_csv(path, header, rows):
+    """CSV with the header line and one line per row of numbers, each
+    written as %.17g (17 significant digits, so the bytes round-trip)."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(n)) + ",t,value\n")
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        fh.write(header + "\n")
+        fh.writelines(line % tuple(row)
+                      for row in np.asarray(rows, dtype=float).tolist())

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import barriers as bar
 from . import radial, solver, transforms
-from .grids import GridField, classify_parabolic_boundary, sample_boundary_data
+from .grids import GridField, sample_boundary_data
 
 __all__ = [
     "PropertyReport",
@@ -103,8 +103,7 @@ def check_weak_max_principle(fld, tol=None):
     Margin = the larger of (interior sup - P_T sup) and
     (P_T inf - interior inf); nonpositive margins pass.
     """
-    cls = classify_parabolic_boundary(fld.grid)
-    pt_vals = fld.values[cls.pt_mask]
+    pt_vals = fld.values[fld.grid.pt_mask]
     inner = fld.values[fld.grid.interior_idx, 1:]
     sup_margin = float(np.nanmax(inner) - np.nanmax(pt_vals))
     inf_margin = float(np.nanmin(pt_vals) - np.nanmin(inner))
@@ -128,8 +127,7 @@ def check_comparison(u_fld, v_fld, tol=None, ratio_mode=False):
     over P_T of u/v, the zero-boundary-safe version.
     """
     grid = u_fld.grid
-    cls = classify_parabolic_boundary(grid)
-    pt = cls.pt_mask
+    pt = grid.pt_mask
     fallback = {}
     if tol is None:
         bands = [_field_band(u_fld), _field_band(v_fld)]
@@ -171,8 +169,7 @@ def check_min_propagation(fld, anchor=None, tol=1e-9, sigma=0.0):
     at (y, s), certifying the violation.
     """
     grid = fld.grid
-    cls = classify_parabolic_boundary(grid)
-    m_pt = float(np.nanmin(fld.values[cls.pt_mask]))
+    m_pt = float(np.nanmin(fld.values[grid.pt_mask]))
     if anchor is None:
         inner = fld.values[grid.interior_idx, 1:]
         flat = np.argmin(inner)
@@ -277,13 +274,23 @@ def check_staircase_bound(result, staircase, tol=None):
 def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
                    family_kw=None):
     """family sup <= solve <= family inf within band + 2 eps, and the
-    boundary gap of the families shrinks as eps decreases."""
+    boundary gap of the families shrinks as eps decreases.
+
+    The band is the solve's residual summary band; a solve without a
+    summary takes the band of its field, and details record why in
+    band_fallback.
+    """
     family_kw = family_kw or {}
     hfield = sample_boundary_data(bd, grid)
     span = bd.M - bd.m
     res = solver.solve(grid, bd, config)
-    band = res.residual_summary.band if res.residual_summary else 1e-6
-    cls = classify_parabolic_boundary(grid)
+    if res.residual_summary is not None:
+        band, fallback = res.residual_summary.band, {}
+    else:
+        band, why = _field_band(res.field)
+        reasons = ["the solve kept no residual summary", why]
+        fallback = {"band_fallback": [r for r in reasons if r]}
+    pt = grid.pt_mask
     gaps = []
     worst = -np.inf
     for frac in eps_fracs:
@@ -297,14 +304,15 @@ def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
         m2 = float(np.max(res.field.values - hi.values)) - tol
         worst = max(worst, m1, m2)
         bgap = max(
-            float(np.nanmax((hfield.values - lo.values)[cls.pt_mask])),
-            float(np.nanmax((hi.values - hfield.values)[cls.pt_mask])),
+            float(np.nanmax((hfield.values - lo.values)[pt])),
+            float(np.nanmax((hi.values - hfield.values)[pt])),
         )
         gaps.append(bgap)
     mono = all(a > b - 1e-12 for a, b in zip(gaps, gaps[1:]))
     margin = worst if mono else max(worst, 1.0)
     return _make("perron_sandwich", margin, 0.0, len(eps_fracs),
-                 boundary_gaps=gaps, gap_monotone=mono, band=band)
+                 boundary_gaps=gaps, gap_monotone=mono, band=band,
+                 **fallback)
 
 
 # ---------------------------------------------------------------------------

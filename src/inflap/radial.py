@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import write_csv
 from .quadrature import (
     F_DECAY_FULL,
     GROW_SPLIT,
@@ -83,9 +84,6 @@ class RadialProfile:
     lam: float
     m: float
     delta: float
-
-    def __call__(self, r):
-        return self.eval(r)
 
     def eval(self, r):
         """u(r), vectorized over r in [0, R] (small overshoot tolerated)."""
@@ -297,17 +295,10 @@ def picard_decaying(R, lam, m, n=2049, tol=1e-12, max_iter=10_000):
 def profile_to_csv(profile, path, n=201):
     """Write (r, u, du/dr) samples of a profile to CSV."""
     r = np.linspace(0.0, profile.R, n)
-    u = profile.eval(r)
-    du = profile.deriv(r)
-    with open(path, "w") as fh:
-        fh.write("r,u,du_dr\n")
-        for ri, ui, di in zip(r, u, du):
-            fh.write(f"{ri:.17g},{ui:.17g},{di:.17g}\n")
+    write_csv(path, "r,u,du_dr",
+              np.column_stack((r, profile.eval(r), profile.deriv(r))))
 
 
 def eigenvalue_table_csv(radii, path):
     """Write (R, lambda_B(R)) over a radius grid to CSV."""
-    with open(path, "w") as fh:
-        fh.write("R,lambda_B\n")
-        for R in radii:
-            fh.write(f"{R:.17g},{ball_eigenvalue(R):.17g}\n")
+    write_csv(path, "R,lambda_B", [(R, ball_eigenvalue(R)) for R in radii])

@@ -294,20 +294,6 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
     return dinf, coef_c
 
 
-def _on_lattice(grid, vals):
-    """Node values vals on a fresh lattice array, 0 at the lattice points
-    that are not nodes."""
-    lat = np.zeros(grid.lattice_size)
-    lat[grid.node_flat] = vals
-    return lat
-
-
-def _monotone_parts(grid, vals, c, upwind=False):
-    """_lattice_parts for node values vals: returns (dinf, g, coef_c,
-    axis_up) over the interior rows for c = vals[interior_idx]."""
-    return _lattice_parts(grid, _on_lattice(grid, vals), c, upwind)
-
-
 def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     """D_inf at every interior node of one time slice.
 
@@ -316,7 +302,7 @@ def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
     residual work).  Returns an array over grid.interior_idx.
     """
     if mode == "monotone_minmax":
-        return _lattice_parts(grid, _on_lattice(grid, vals),
+        return _lattice_parts(grid, grid.lattice(vals),
                               vals[grid.interior_idx], grad=False)[0]
     if mode == "centered_diagnostic":
         return transforms._infinity_laplacian_centered(grid, vals)[0]
@@ -328,7 +314,7 @@ def _rhs_and_coef(grid, vals, config, cap, c=None):
     interior rows; c is vals[interior_idx] if the caller has it."""
     if c is None:
         c = vals[grid.interior_idx]
-    return _lattice_rhs_coef(grid, _on_lattice(grid, vals), c, config, cap)
+    return _lattice_rhs_coef(grid, grid.lattice(vals), c, config, cap)
 
 
 def cfl_dt(grid, vals, config, cap=None):
@@ -375,7 +361,7 @@ def solve(grid, bd, config=None):
     # the stencil reads
     values = np.empty((grid.n_nodes, L))
     values[:, 0] = to_variable(bd.f(grid.sample_pos))
-    lat = _on_lattice(grid, values[:, 0])
+    lat = grid.lattice(values[:, 0])
     c = values[grid.interior_idx, 0]
     inner = grid.lo + grid.interior_pos
     dt_history = []

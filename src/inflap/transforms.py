@@ -14,13 +14,13 @@ truncation estimate obtained by re-evaluating the residual on doubled
 spacing (Richardson), used as the tolerance unit by the test harness.
 
 The centred operator reads the grid's flat lattice (see grids): each
-level's node values go on a flat array padded by the stencil span at each
-end, and the axis and diagonal neighbours of the interior range are its
-slices at step * (+-s_a +- s_b), s_a the stride of axis a.  Step 1 is the
-h pass; step 2, on 2 * flat_off, is the Richardson pass, which the pad
-keeps inside the array.  One routine computes the residual for either
-step.  The 2h pass and the clean rows of a ball use the rows whose whole
-stencil is interior, one lattice mask.
+level's node values go on grid.lattice(), and the axis and diagonal
+neighbours of the interior range are its slices at step * (+-s_a +- s_b),
+s_a the stride of axis a.  Step 1 is the h pass; step 2, on 2 * flat_off,
+is the Richardson pass, which the lattice's pad keeps inside the array.
+One routine computes the residual for either step.  The 2h pass and the
+clean rows of a ball use grid.inner_rows, the rows whose whole stencil is
+interior.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import GridField
+from .grids import GridField, write_csv
 
 __all__ = [
     "ResidualReport",
@@ -81,19 +81,17 @@ def _infinity_laplacian_centered(grid, level_vals, step=1):
     """Sum_ab d_a(v) d_b(v) d2_ab(v) with centered differences of spacing
     step * h (h for step 1, 2h for the Richardson pass, step 2).
 
-    The node values go on a flat lattice padded by the stencil span at each
-    end, and every neighbour column is the slice of the interior range
-    shifted by step * (+-s_a +- s_b), s_a the stride of axis a.  The pad
-    keeps the 2h slices inside the array; on rows whose stencil is not
-    all interior they may cross a lattice row, and those rows have no 2h
-    value.  Returns (delta_inf, grad_sq) over interior rows.
+    The node values go on grid.lattice(), and every neighbour column is
+    the slice of the interior range shifted by step * (+-s_a +- s_b), s_a
+    the stride of axis a.  The lattice's pad keeps the 2h slices inside
+    the array; on rows whose stencil is not all interior they may cross a
+    lattice row, and those rows have no 2h value.  Returns (delta_inf,
+    grad_sq) over interior rows.
     """
     n = grid.dim
     spacing = step * grid.h
-    pad = sum(grid.strides)
-    lat = np.zeros(grid.lattice_size + 2 * pad)
-    lat[pad + grid.node_flat] = level_vals
-    lo, size = pad + grid.lo, grid.hi - grid.lo
+    lat = grid.lattice(level_vals)
+    lo, size = grid.lo, grid.hi - grid.lo
     s = [step * stride for stride in grid.strides]
 
     def at(off):
@@ -118,29 +116,16 @@ def _infinity_laplacian_centered(grid, level_vals, step=1):
     return out[rows], grad_sq[rows]
 
 
-def _inner_rows(grid):
-    """Interior rows whose whole stencil is interior (bool mask): the rows
-    of the Richardson pass, and on balls the clean rows."""
-    inside = np.zeros(grid.lattice_size, dtype=bool)
-    inside[grid.node_flat[grid.interior_idx]] = True
-    ok = np.ones(grid.hi - grid.lo, dtype=bool)
-    for off in grid.flat_off:
-        ok &= inside[grid.lo + off:grid.hi + off]
-    return ok[grid.interior_pos]
-
-
 def _time_derivative(vals, dt, stride=1):
-    """Centered d/dt per level (one-sided at the ends), shape preserved."""
+    """Centered d/dt per level at spacing stride * dt, one-sided at the two
+    end levels (NaN at the other levels within stride of the ends), shape
+    preserved; needs L > 2 stride."""
     N, L = vals.shape
     out = np.full((N, L), np.nan)
     s = stride
-    if L > 2 * s:
-        out[:, s:L - s] = (vals[:, 2 * s:] - vals[:, :L - 2 * s]) / (2 * s * dt)
-    if L >= 3:
-        out[:, 0] = (-3 * vals[:, 0] + 4 * vals[:, 1] - vals[:, 2]) / (2 * dt)
-        out[:, -1] = (3 * vals[:, -1] - 4 * vals[:, -2] + vals[:, -3]) / (2 * dt)
-    elif L == 2:
-        out[:, 0] = out[:, 1] = (vals[:, 1] - vals[:, 0]) / dt
+    out[:, s:L - s] = (vals[:, 2 * s:] - vals[:, :L - 2 * s]) / (2 * s * dt)
+    out[:, 0] = (-3 * vals[:, 0] + 4 * vals[:, 1] - vals[:, 2]) / (2 * dt)
+    out[:, -1] = (3 * vals[:, -1] - 4 * vals[:, -2] + vals[:, -3]) / (2 * dt)
     return out
 
 
@@ -166,14 +151,13 @@ class ResidualReport:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, grid, path):
-        idx = grid.interior_idx
-        with open(path, "w") as fh:
-            fh.write(",".join(f"x{i}" for i in range(grid.dim))
-                     + ",t,residual\n")
-            for j, tj in enumerate(grid.t):
-                for row, i in enumerate(idx):
-                    coords = ",".join(f"{c:.17g}" for c in grid.sample_pos[i])
-                    fh.write(f"{coords},{tj:.17g},{self.values[row, j]:.17g}\n")
+        """CSV rows (x..., t, residual), level by level."""
+        L, idx = grid.time_levels, grid.interior_idx
+        write_csv(path,
+                  ",".join(f"x{i}" for i in range(grid.dim)) + ",t,residual",
+                  np.column_stack((np.tile(grid.sample_pos[idx], (L, 1)),
+                                   np.repeat(grid.t, idx.size),
+                                   self.values.T.ravel())))
 
 
 def _residual(grid, vals, tag, sigma, step, levels):
@@ -202,7 +186,7 @@ def heuristic_band(grid, vals):
 def _make_report(grid, vals, tag, sigma):
     L = grid.time_levels
     res = _residual(grid, vals, tag, sigma, 1, range(L))
-    inner = _inner_rows(grid)
+    inner = grid.inner_rows
     clean = inner | (grid.domain.kind != "ball")
     onesided = np.zeros(L, dtype=bool)
     onesided[0] = onesided[-1] = True

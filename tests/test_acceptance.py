@@ -22,7 +22,6 @@ from inflap.grids import (
     Domain,
     GridField,
     build_grid,
-    classify_parabolic_boundary,
     sample_boundary_data,
 )
 
@@ -226,7 +225,6 @@ def test_criterion_08_barrier_pins_and_signs():
         * np.exp(-t),
     )
     hfield = sample_boundary_data(bd, grid)
-    cls = classify_parabolic_boundary(grid)
     eps = 0.05 * (bd.M - bd.m)
     rng = np.random.default_rng(808)
 
@@ -249,7 +247,7 @@ def test_criterion_08_barrier_pins_and_signs():
             pin_worst = max(pin_worst, abs(
                 float(b.eval(y[None, :], s)[0]) - (target - off)))
         for j, tj in enumerate(grid.t):
-            mask = cls.pt_mask[:, j]
+            mask = grid.pt_mask[:, j]
             if not mask.any():
                 continue
             vals = b.eval(grid.sample_pos[mask], tj)

@@ -10,7 +10,6 @@ from inflap.grids import (
     Domain,
     GridField,
     build_grid,
-    classify_parabolic_boundary,
     sample_boundary_data,
 )
 
@@ -40,10 +39,9 @@ def setup_lateral():
 
 
 def pt_worst_violation(b, grid, hfield):
-    cls = classify_parabolic_boundary(grid)
     worst = -np.inf
     for j, tj in enumerate(grid.t):
-        mask = cls.pt_mask[:, j]
+        mask = grid.pt_mask[:, j]
         if not mask.any():
             continue
         vals = b.eval(grid.sample_pos[mask], tj)
@@ -412,21 +410,23 @@ def _envelope_oracle(fld, lift, other, max_sweeps=64):
     (Domain.ball((0.1, 0.0, -0.2), 1.0), 0.125),
 ], ids=["interval", "box2d", "box3d", "disk", "ball3d"])
 def test_envelopes_match_adjacency_oracle(dom, h):
-    # stencil_extremes over all levels reproduces the gathered sweep, NaN
-    # entries and their spread included
+    # box_reduce over all levels reproduces the gathered sweep, run to its
+    # fixed point and cut after 4 sweeps; a NaN entry is rejected
     g = build_grid(dom, h, 0.5, 6)
     rng = np.random.default_rng(8)
     vals = np.exp(rng.normal(scale=0.3, size=(g.n_nodes, g.time_levels)))
+    fld = GridField(g, vals, "phi")
     holed = vals.copy()
     holed[g.interior_idx[g.interior_idx.size // 3], 3] = np.nan
-    for v, sweeps in ((vals, 64), (holed, 4)):
-        fld = GridField(g, v, "phi")
-        for env, lift, other in ((B.usc_envelope, np.maximum, np.minimum),
-                                 (B.lsc_envelope, np.minimum, np.maximum)):
+    for env, lift, other in ((B.usc_envelope, np.maximum, np.minimum),
+                             (B.lsc_envelope, np.minimum, np.maximum)):
+        for sweeps in (64, 4):
             got = env(fld, max_sweeps=sweeps).values
-            ref = _envelope_oracle(fld, lift, other, sweeps)
-            assert np.array_equal(got, ref, equal_nan=True)
-            assert not np.array_equal(got, v, equal_nan=True)
+            assert np.array_equal(got, _envelope_oracle(fld, lift, other,
+                                                        sweeps))
+            assert not np.array_equal(got, vals)
+        with pytest.raises(ValueError, match="finite"):
+            env(GridField(g, holed, "phi"))
 
 
 def test_two_ring_matches_adjacency_oracle():
@@ -507,14 +507,13 @@ class TestPerronFamilies:
 
     def test_boundary_gap_shrinks_with_eps(self, setup_1d):
         g, bd, hfield, _ = setup_1d
-        cls = classify_parabolic_boundary(g)
         gaps = []
         for frac in (0.1, 0.03, 0.01):
             eps = frac * (bd.M - bd.m)
             sup = B.perron_family_sup(
                 B.build_sub_family(g, bd, eps, interior_stride=1,
                                    time_stride=2), g)
-            gap = np.nanmax((hfield.values - sup.values)[cls.pt_mask])
+            gap = np.nanmax((hfield.values - sup.values)[g.pt_mask])
             gaps.append(float(gap))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 2 * 0.01 * (bd.M - bd.m) + 0.05 * (bd.M - bd.m)

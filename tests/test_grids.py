@@ -1,4 +1,4 @@
-"""Grid, classification, and boundary-data sampling tests."""
+"""Grid, parabolic boundary, and boundary-data sampling tests."""
 
 import json
 
@@ -7,16 +7,12 @@ import pytest
 
 from inflap import grids
 from inflap.grids import (
-    INITIAL,
-    INTERIOR,
-    LATERAL,
     BoundaryData,
     DataError,
     Domain,
     GridConfigError,
     GridField,
     build_grid,
-    classify_parabolic_boundary,
     sample_boundary_data,
 )
 
@@ -31,12 +27,11 @@ class TestBuildGrid:
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
         assert g.interior_idx.size == 3
         assert g.boundary_idx.size == 2
-        cls = classify_parabolic_boundary(g)
-        # class sizes: one initial entry per node, lateral on levels >= 1
-        assert cls.counts["initial"] == 5
-        assert cls.counts["lateral"] == 2 * 4
+        # one initial entry per node, and the ring entries on levels >= 1
+        assert g.pt_mask.shape == (5, 5) and int(g.pt_mask[:, 0].sum()) == 5
+        assert int((~g.interior_mask).sum()) * (g.time_levels - 1) == 2 * 4
         # P_T proper excludes the t=T lateral slab
-        assert int(cls.pt_mask.sum()) == 5 + 2 * 3
+        assert int(g.pt_mask.sum()) == 5 + 2 * 3
 
     def test_box_single_interior(self):
         g = build_grid(Domain.box([(0, 1), (0, 1)]), 0.5, 1.0, 3,
@@ -108,30 +103,32 @@ class TestClassification:
             h = 0.25
         g = build_grid(dom, h, float(rng.uniform(0.5, 2.0)),
                        int(rng.integers(2, 7)))
-        cls = classify_parabolic_boundary(g)
-        total = g.n_nodes * g.time_levels
-        assert sum(cls.counts.values()) == total
-        # codes is single-valued by construction; check the class content
-        assert np.all(cls.codes[:, 0] == INITIAL)
-        assert np.all(cls.codes[g.interior_idx, 1:] == INTERIOR)
-        assert np.all(cls.codes[g.boundary_idx, 1:] == LATERAL)
+        pt = g.pt_mask
+        assert pt.shape == (g.n_nodes, g.time_levels) and pt.dtype == bool
+        # interior and ring nodes partition the nodes
+        assert g.interior_idx.size + g.boundary_idx.size == g.n_nodes
+        assert np.all(g.interior_mask[g.interior_idx])
+        assert not np.any(g.interior_mask[g.boundary_idx])
+        # every t = 0 entry is in P_T, no interior entry at levels >= 1 is,
+        # ring entries at levels 1..L-2 are, and nothing at t = T is
+        assert np.all(pt[:, 0])
+        assert not np.any(pt[g.interior_idx, 1:])
+        assert np.all(pt[g.boundary_idx, 1:-1])
+        assert not np.any(pt[:, -1])
 
     def test_corner_is_initial_and_in_pt(self):
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
-        cls = classify_parabolic_boundary(g)
         left = int(np.argmin(g.pos[:, 0]))
         assert not g.interior_mask[left]
-        assert cls.codes[left, 0] == INITIAL
-        assert cls.pt_mask[left, 0]
+        assert g.pt_mask[left, 0]
 
     def test_final_time_exclusions(self):
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
-        cls = classify_parabolic_boundary(g)
         last = g.time_levels - 1
-        assert not np.any(cls.pt_mask[:, last])          # no P_T at t=T
-        assert np.all(cls.pt_mask[g.boundary_idx, last - 1])
+        assert not np.any(g.pt_mask[:, last])          # no P_T at t=T
+        assert np.all(g.pt_mask[g.boundary_idx, last - 1])
         # the t=T interior slab is interior-in-space, outside P_T
-        assert np.all(cls.codes[g.interior_idx, last] == INTERIOR)
+        assert not np.any(g.pt_mask[g.interior_idx, last])
 
 
 class TestBoundaryData:
@@ -139,8 +136,7 @@ class TestBoundaryData:
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
         bd = const_data(1.0)
         fld = sample_boundary_data(bd, g)
-        cls = classify_parabolic_boundary(g)
-        assert np.all(fld.values[cls.pt_mask] == 1.0)
+        assert np.all(fld.values[g.pt_mask] == 1.0)
         assert bd.m == bd.M == 1.0
 
     def test_linear_data_bounds(self):
@@ -379,10 +375,17 @@ def test_lattice_layout_and_stencil_extremes(name):
     assert np.all(np.diff(g.interior_pos) > 0)
     assert np.array_equal(int_flat, g.lo + g.interior_pos)
     assert g.interior_pos[0] == 0 and g.lo + g.interior_pos[-1] == g.hi - 1
-    assert g.lattice_size >= g.node_flat[-1] + 1
+    # the pad keeps the slices at twice any stencil offset inside the array
+    span = sum(g.strides)
+    assert g.lo - 2 * span >= 0 and g.hi + 2 * span <= g.lattice_size
+    # lattice() places node values at node_flat and 0 elsewhere
+    vals = np.random.default_rng(2).uniform(-1.0, 1.0, g.n_nodes)
+    on = g.lattice(vals)
+    assert on.shape == (g.lattice_size,) and np.array_equal(
+        on[g.node_flat], vals)
+    assert np.count_nonzero(on) == np.count_nonzero(vals)
     # the extremes of each axis set are the max and min of the neighbour
     # values over its columns
-    vals = np.random.default_rng(2).uniform(-1.0, 1.0, g.n_nodes)
     lat = np.full(g.lattice_size, np.nan)
     lat[g.node_flat] = vals
     nz = g.offsets != 0
@@ -396,6 +399,20 @@ def test_lattice_layout_and_stencil_extremes(name):
             assert top.size == bot.size == g.hi - g.lo
             assert np.array_equal(top[g.interior_pos], nbr[:, cols].max(1))
             assert np.array_equal(bot[g.interior_pos], nbr[:, cols].min(1))
+    # box_reduce is the max or min over the stencil and the centre, on flat
+    # and on (lattice_size, L) arrays
+    levels = np.random.default_rng(3).uniform(-1.0, 1.0, (g.n_nodes, 3))
+    lat2 = np.full((g.lattice_size, 3), np.nan)
+    lat2[g.node_flat] = levels
+    for v, la in ((vals, lat), (levels, lat2)):
+        box = np.concatenate((v[g.nbr_index], v[g.interior_idx][:, None]),
+                             axis=1)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(g.box_reduce(la, np.maximum), box.max(1))
+            assert np.array_equal(g.box_reduce(la, np.minimum), box.min(1))
+    # inner_rows: the rows whose whole stencil is interior
+    assert np.array_equal(g.inner_rows,
+                          np.all(g.interior_mask[g.nbr_index], axis=1))
 
 
 def field_to_csv_reference(fld, skip_nan):

@@ -80,6 +80,15 @@ class TestComparison:
         assert rep.details["band_fallback"] == [
             "need at least 3 time levels for eta_t"] * 2
 
+    def test_field_band_of_a_nonpositive_phi_field(self):
+        # phi with a nonpositive entry has no log, so the band is
+        # residual_Pi's rather than residual_Gamma's of eta
+        g = build_grid(Domain.interval(0, 1), 0.1, 0.3, 5)
+        fld = GridField.from_function(g, lambda x, t: x[:, 0] - 0.5 + t)
+        assert np.min(fld.values) <= 0.0
+        band, why = H._field_band(fld)
+        assert why is None and band == transforms.residual_Pi(fld).band
+
     def test_ratio_mode_stationary_eigenfunction(self):
         # eigen-decay solve vs the time-frozen eigenfunction (a strict
         # super-solution): ratio sup must sit on the parabolic boundary
@@ -230,6 +239,23 @@ class TestSandwich:
                                           "time_stride": 2})
         assert rep.passed
         assert rep.details["gap_monotone"]
+
+    def test_no_residual_summary_takes_the_field_band(self):
+        # summarize_residual=False leaves the solve without a summary: the
+        # band is then the solved field's, and details say why
+        g = build_grid(Domain.interval(0, 1), 0.1, 0.4, 6)
+        from inflap.catalog import make_data
+
+        bd = make_data("gaussian-bump", {"base": 1.0, "amp": 0.6,
+                                         "width": 0.25, "center": [0.5]})
+        cfg = solver.SolverConfig(summarize_residual=False)
+        rep = H.check_sandwich(g, bd, config=cfg, eps_fracs=(0.1,),
+                               family_kw={"interior_stride": 3})
+        band, why = H._field_band(solver.solve(g, bd, cfg).field)
+        assert why is None and rep.details["band"] == band
+        assert rep.details["band_fallback"] == [
+            "the solve kept no residual summary"]
+        assert rep.passed
 
 
 class TestBumpImprovement:

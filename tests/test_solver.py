@@ -68,7 +68,7 @@ class TestDiscreteOperator:
         target = -prof.lam * vals[g.interior_idx] ** 3
         ri = r[g.interior_idx]
         # away from both the center cusp and the projected boundary ring
-        sel = transforms._inner_rows(g) & (ri > 0.4) & (ri < 0.85)
+        sel = g.inner_rows & (ri > 0.4) & (ri < 0.85)
         assert np.max(np.abs(cen - target)[sel]) < 2e-2
 
     def test_cusp_branch_value_at_peak(self):
@@ -316,6 +316,20 @@ def test_solve_matches_node_ordered_march(case):
         assert clamps > 0
 
 
+def test_explicit_grad_cap_matches_the_auto_cap():
+    # zero lateral data turns the auto cap scale / sqrt(h) on; the same cap
+    # given as SolverConfig(grad_cap=...) gives the same run bit for bit
+    g = build_grid(Domain.ball((0.0, 0.0), 1.0), 0.125, 0.1, 4)
+    auto_cfg = solver.SolverConfig(variable="phi")
+    cap = auto_cfg.auto_cap_scale / np.sqrt(g.h)
+    auto = solver.solve(g, _collar_data(), auto_cfg)
+    given = solver.solve(g, _collar_data(),
+                         solver.SolverConfig(variable="phi", grad_cap=cap))
+    assert auto.field.meta["grad_cap"] == given.field.meta["grad_cap"] == cap
+    assert np.array_equal(given.field.values, auto.field.values)
+    assert given.dt_history == auto.dt_history
+
+
 # ---------------------------------------------------------------------------
 # kernel properties on random positive fields
 # ---------------------------------------------------------------------------
@@ -371,7 +385,8 @@ def assert_kernel_matches_reference(grid, vals):
     c = vals[grid.interior_idx]
     ref = argmax_reference(grid, vals)
     for upwind in (False, True):
-        dinf, g, coef, axis_up = solver._monotone_parts(grid, vals, c, upwind)
+        dinf, g, coef, axis_up = solver._lattice_parts(
+            grid, grid.lattice(vals), c, upwind)
         for a, b in zip((dinf, g, coef), ref[:3]):
             assert np.array_equal(a, b)
     assert len(axis_up) == len(ref[3]) == grid.dim

@@ -83,7 +83,7 @@ class TestResidualClosedForms:
         vals = 0.5 * np.sum(g.sample_pos ** 2, axis=1)
         dinf, gsq = tf._infinity_laplacian_centered(g, vals)
         r2 = np.sum(g.sample_pos[g.interior_idx] ** 2, axis=1)
-        clean = tf._inner_rows(g)
+        clean = g.inner_rows
         assert np.max(np.abs(dinf - r2)[clean]) < 1e-12
         assert np.max(np.abs(gsq - r2)[clean]) < 1e-12
 
@@ -185,7 +185,7 @@ def test_lattice_residual_matches_gather_oracle(dom, h):
             assert np.array_equal(a, b, equal_nan=True)
     # the operator itself at h and at 2h, on the rows of the 2h pass
     two, eligible = _second_ring(g)
-    assert np.array_equal(tf._inner_rows(g), eligible) and eligible.any()
+    assert np.array_equal(g.inner_rows, eligible) and eligible.any()
     for step, nbr in ((1, g.nbr_index), (2, two)):
         got = tf._infinity_laplacian_centered(g, vals[:, 3], step)
         ref = _gather_centered(g, vals[:, 3], step * g.h, nbr)
@@ -356,3 +356,12 @@ def test_residual_report_csv_export(tmp_path):
     lines = (tmp_path / "residual.csv").read_text().strip().splitlines()
     assert lines[0] == "x0,x1,t,residual"
     assert len(lines) == 1 + g.interior_idx.size * g.time_levels
+    # the bytes are those of a sample-by-sample writer, special values too
+    rep.values[:4, 1] = [np.nan, -0.0, 1e300, 1.0 / 3.0]
+    rep.to_csv(g, tmp_path / "residual.csv")
+    ref = ["x0,x1,t,residual\n"]
+    for j, tj in enumerate(g.t):
+        for row, i in enumerate(g.interior_idx):
+            coords = ",".join(f"{c:.17g}" for c in g.sample_pos[i])
+            ref.append(f"{coords},{tj:.17g},{rep.values[row, j]:.17g}\n")
+    assert (tmp_path / "residual.csv").read_text() == "".join(ref)
