@@ -33,7 +33,12 @@ over the 3^n box around each interior row, for the envelope sweeps and for
 ``inner_rows`` (the rows whose whole stencil is interior, where the
 residuals take their 2h pass and balls their clean rows).  The two are
 separate so that the kernel's stencil can change without moving either.
-The (Ni, K) tables ``nbr_index`` and ``nbr_dist`` remain as the build's
+The kernel's special rows read tables built once: ``column_base = flat_off
++ lo``; the stencil positions ``irregular_flat`` and arm lengths
+``irregular_arms`` of the ``irregular_rows`` as (n_irr, K) row-major
+tables, with ``irregular_start`` the flat index of each row's first entry;
+and the arm lengths to the power 4/3 (``arm_lengths43``, ``dmin43``).  The
+(Ni, K) tables ``nbr_index`` and ``nbr_dist`` remain as the build's
 record: this module derives the shortest arms and the irregular rows from
 them, and the benchmark probes read their shape and size.
 
@@ -168,8 +173,10 @@ class CylinderGrid:
     interior range ``[lo, hi)`` with ``interior_pos``, the axis
     ``strides`` and ``stencil_classes`` (see the module docstring,
     stencil_extremes and box_reduce).  Arm lengths come from
-    ``arm_lengths``, with the shortest arm per row in ``dmin`` and the
-    projected distances of the ``irregular_rows`` in ``irregular_dist``.
+    ``arm_lengths`` (``arm_lengths43`` to the power 4/3), with the shortest
+    arm per row in ``dmin`` (``dmin43``); ``column_base`` and the
+    ``irregular_rows``' tables ``irregular_flat``, ``irregular_arms`` and
+    ``irregular_start`` serve the kernel's special rows (module docstring).
     The geometry of the cylinder is computed once here: ``pt_mask``, the
     (N, L) membership in P_T, and ``inner_rows``, the interior rows whose
     whole stencil is interior.  The neighbor tables ``nbr_index`` and
@@ -260,6 +267,10 @@ class CylinderGrid:
         of an irregular row."""
         return self._arm_table[:, self._arm_column[rows]]
 
+    def arm_lengths43(self, rows):
+        """arm_lengths(rows) ** (4/3), from a table computed once."""
+        return self._arm_table43[:, self._arm_column[rows]]
+
     def __post_init__(self):
         self._offset_lookup = {
             tuple(int(v) for v in off): k for k, off in enumerate(self.offsets)
@@ -299,15 +310,24 @@ class CylinderGrid:
              [(S, slice(span[S], span[S] + size))
               for S in range(1, 2 ** self.dim) if bin(S).count("1") == m])
             for m in range(1, self.dim + 1)]
-        # rows with an arm off h |off|, and their (K, n_irr) distances;
-        # arm_lengths reads a row's column of those, or the lengths h |off|
-        # appended as the last column
+        # rows with an arm off h |off|; their (n_irr, K) row-major tables
+        # of arm lengths and of flat stencil positions, and the flat index
+        # in those tables of each row's first entry
         irr = self.irregular_rows = np.flatnonzero(
             np.any(self.nbr_dist.T != lat[:, None], axis=0))
-        self.irregular_dist = np.ascontiguousarray(self.nbr_dist.T[:, irr])
-        self._arm_table = np.column_stack((self.irregular_dist, lat))
+        self.irregular_arms = np.ascontiguousarray(self.nbr_dist[irr])
+        self.column_base = self.flat_off + self.lo
+        self.irregular_flat = (self.interior_pos[irr, None]
+                               + self.column_base)
+        self.irregular_start = np.arange(irr.size) * self.flat_off.size
+        # arm_lengths reads a row's column of the irregular arms, or the
+        # lengths h |off| appended as the last column; the cusp branch
+        # reads the same tables to the power 4/3
+        self._arm_table = np.column_stack((self.irregular_arms.T, lat))
         self._arm_column = np.full(self.interior_idx.size, irr.size)
         self._arm_column[irr] = np.arange(irr.size)
+        self._arm_table43 = self._arm_table ** (4.0 / 3.0)
+        self.dmin43 = self.dmin ** (4.0 / 3.0)
         # the rows whose 3^n box holds interior nodes only
         inside = np.zeros(self.lattice_size, dtype=bool)
         inside[int_pos] = True

@@ -65,14 +65,20 @@ v_c)/d) bit for bit, as are the min and the eta upwind terms.  Irregular
 (ball ring) rows, and minmax rows where two classes tie for an extreme
 slope, are redone in argmax form, whose first-column tie rule may pick
 another arm length; extremum rows take the cusp branch, which ignores it.
-Those rows read their arms as lat[position + flat_off].  solve() marches
-the interior values and writes them and the ring data back to the lattice
-array once per step.
+Each of these passes runs only when it has rows, on an (n, K) row-major
+block of lat[position + flat_off], so that argmax, argmin and take run
+along the contiguous axis.  The grid builds their fixed tables once: the
+irregular rows' stencil positions and arm lengths in that layout, and the
+arm lengths and shortest arms to the power 4/3 for the cusp branch.  With
+one distance class (1-D) the arm lengths stay one scalar until an
+irregular row needs its own.  solve() marches the interior values and
+writes them and the ring data back to the lattice array once per step.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,8 +121,17 @@ class SolverConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.variable not in ("eta", "phi"):
             raise ValueError("variable must be 'eta' or 'phi'")
-        if self.positivity_floor <= 0:
-            raise ValueError("positivity_floor must be positive")
+        if not 0.0 < self.positivity_floor < math.inf:
+            raise ValueError("positivity_floor must be finite and positive")
+        cap = self.grad_cap
+        if cap is not None and not (isinstance(cap, numbers.Real)
+                                    and 0.0 < cap < math.inf):
+            raise ValueError("grad_cap must be None or a finite positive "
+                             "number")
+        if not self.auto_cap_scale > 0.0:
+            raise ValueError("auto_cap_scale must be positive")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -148,7 +163,7 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     """
     rows = grid.interior_pos
     axis_up = []
-    sp, tie = None, False
+    sp = tie = None
     for d, pairs in grid.stencil_extremes(lat):
         top = bot = None
         for a, b in pairs:
@@ -160,34 +175,47 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
                 np.maximum(top, a, out=top)
                 np.minimum(bot, b, out=bot)
         top, bot = _slope(top[rows], c, d), _slope(bot[rows], c, d)
-        if sp is None:
-            sp, sm = top, bot
-            dp, dm = np.full(c.shape, d), np.full(c.shape, d)
+        if sp is None:   # the arm lengths stay scalar while one class is in
+            sp, sm, dp, dm = top, bot, d, d
             continue
-        tie = tie | (top == sp) | (bot == sm)
-        np.putmask(dp, top > sp, d)
+        same = top == sp
+        same |= bot == sm
+        tie = same if tie is None else np.logical_or(tie, same, out=tie)
+        if np.ndim(dp):   # arrays from the second class on: in place
+            np.putmask(dp, top > sp, d)
+            np.putmask(dm, bot < sm, d)
+        else:
+            dp, dm = np.where(top > sp, d, dp), np.where(bot < sm, d, dm)
         np.maximum(sp, top, out=sp)
-        np.putmask(dm, bot < sm, d)
         np.minimum(sm, bot, out=sm)
 
     # argmax form, ties to the first column, on the irregular rows and on
-    # the minmax rows where two classes reach the same extreme slope
-    exact = [(grid.irregular_rows, grid.irregular_dist)]
-    if tie is not False:   # more than one class
-        ties = np.flatnonzero(tie)
+    # the minmax rows where two classes reach the same extreme slope; each
+    # on an (n, K) row-major block, so that the reductions run along rows
+    exact = []
+    if grid.irregular_rows.size:
+        exact.append((grid.irregular_rows, lat[grid.irregular_flat],
+                      grid.irregular_arms, grid.irregular_start))
+    if tie is not None and tie.any():
+        ties = tie.nonzero()[0]
         ties = ties[(sp[ties] > 0.0) & (sm[ties] < 0.0)]
-        exact.append((ties, grid.arm_lengths(ties)))
+        if ties.size:
+            exact.append((ties, _stencil_values(grid, lat, ties),
+                           grid.arm_lengths(ties).T,
+                           np.arange(ties.size) * grid.flat_off.size))
+    if exact and np.ndim(dp) == 0:
+        dp, dm = np.full(c.shape, dp), np.full(c.shape, dm)
     plus, minus = grid.axis_columns
-    for r, dist in exact:
-        if r.size:
-            s = _neighbours(grid, lat, r) - c[r]
-            s /= dist
-            n = np.arange(r.size)
-            kp, km = s.argmax(0) * r.size + n, s.argmin(0) * r.size + n
-            sp[r], sm[r] = s.take(kp), s.take(km)
-            dp[r], dm[r] = dist.take(kp), dist.take(km)
-            for u, p, m in zip(axis_up, plus, minus):
-                u[r] = np.maximum(s[p], s[m])
+    for r, s, dist, start in exact:
+        s -= c[r, None]
+        s /= dist
+        kp, km = s.argmax(1), s.argmin(1)
+        kp += start
+        km += start
+        sp[r], sm[r] = s.take(kp), s.take(km)
+        dp[r], dm[r] = dist.take(kp), dist.take(km)
+        for u, p, m in zip(axis_up, plus, minus):
+            u[r] = np.maximum(s[:, p], s[:, m])
 
     # in place from here on (at 20k rows a fresh temporary adds about a
     # third to the pass that fills it): g = max(sp, -sm, 0), g2 =
@@ -207,19 +235,20 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     dinf /= den
     dinf *= g2
     coef_c = np.multiply(g2, 2.0, out=g2)
-    coef_c /= np.multiply(dp, dm, out=den)
+    coef_c /= np.multiply(dp, dm, out=den) if den.ndim else dp * dm
 
     # discrete maxima (sign -1) and minima (+1); a flat row is both and
     # takes the minimum's sign, which is immaterial: all its slopes are 0,
     # so q = 0, dinf = +-0 and coef_c = 0 whichever sign it takes
-    r = np.flatnonzero((sp <= 0.0) | (sm >= 0.0))
+    r = ((sp <= 0.0) | (sm >= 0.0)).nonzero()[0]
     if r.size:
         sign = np.where(sm[r] >= 0.0, 1.0, -1.0)
-        q = _neighbours(grid, lat, r) - c[r]
-        q /= grid.arm_lengths(r) ** (4.0 / 3.0)
-        cusp_c = np.maximum(np.max(sign * q, axis=0), 0.0)
+        q = _stencil_values(grid, lat, r)
+        q -= c[r, None]
+        q /= grid.arm_lengths43(r).T
+        cusp_c = np.maximum((sign[:, None] * q).max(1), 0.0)
         dinf[r] = sign * CUSP * cusp_c ** 3
-        coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin[r] ** (4.0 / 3.0)
+        coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin43[r]
     return dinf, g, coef_c, axis_up
 
 
@@ -230,9 +259,9 @@ def _slope(v, c, d):
     return v
 
 
-def _neighbours(grid, lat, r):
-    """(K, len(r)) stencil values of the interior rows r, from lat."""
-    return lat[(grid.flat_off + grid.lo)[:, None] + grid.interior_pos[r]]
+def _stencil_values(grid, lat, r):
+    """(len(r), K) stencil values of the interior rows r, from lat."""
+    return lat[grid.interior_pos[r, None] + grid.column_base]
 
 
 def _lattice_rhs_coef(grid, lat, c, config, cap):
@@ -340,7 +369,8 @@ def solve(grid, bd, config=None):
     substep is clipped to land exactly on the level time).  Raises
     SolverError if positivity is lost in phi mode (unless the data is a
     zero-lateral decay experiment, where values are clamped at 0) and
-    StiffnessError if dt collapses.
+    StiffnessError if the CFL step collapses (a clipped last substep does
+    not count).
     """
     config = config or SolverConfig()
     sample_boundary_data(bd, grid)  # validates positivity/continuity; sets m, M
@@ -372,18 +402,18 @@ def solve(grid, bd, config=None):
         t_target = grid.t[j]
         while t_now < t_target - 1e-14 * grid.T:
             rhs, coef = _lattice_rhs_coef(grid, lat, c, config, cap)
-            dt = config.cfl / max(float(np.max(coef)), 1e-300)
-            dt = min(dt, t_target - t_now)
-            rhs *= dt
-            c += rhs
-            lat[ring] = to_variable(bd.g(bpts, t_now + dt))
-            if dt < 1e-13 * grid.T:
+            dt = config.cfl / max(float(coef.max()), 1e-300)
+            if dt < 1e-13 * grid.T:   # the CFL step, before any clipping
                 raise StiffnessError(
                     f"time step collapsed to {dt:.3e} at t={t_now:.6g}; "
                     "the problem is too stiff for the explicit scheme"
                 )
+            dt = min(dt, t_target - t_now)
+            rhs *= dt
+            c += rhs
+            lat[ring] = to_variable(bd.g(bpts, t_now + dt))
             if not eta:
-                wmin = float(np.min(c))
+                wmin = float(c.min())
                 if wmin < floor:
                     if bd.zero_lateral_ok:
                         np.clip(c, 0.0, None, out=c)

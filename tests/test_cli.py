@@ -90,7 +90,8 @@ class TestRunner:
         assert cli.run(wrong) == 2
         capsys.readouterr()
         for key, value in (("use_jit", True), ("stencil", "monotone_minmax"),
-                           ("cfl", 0.0)):
+                           ("cfl", 0.0), ("grad_cap", 0.0),
+                           ("auto_cap_scale", 0.0), ("max_steps", 0)):
             stale = self.write_cfg(tmp_path, {
                 "experiment": "decay",
                 "solver": {"variable": "phi", key: value},

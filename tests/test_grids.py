@@ -333,7 +333,7 @@ def test_build_grid_matches_reference(name):
 def test_arm_lengths_classes_and_irregular_rows(name):
     # box and interval arms have the lattice length h |off| exactly; a ball
     # row is irregular (some arm off that length) exactly when it has a
-    # ring arm, and its cached distances are the (K, n_irr) C-order ones
+    # ring arm, and its cached distances are the (n_irr, K) row-major ones
     dom, h = REFERENCE_DOMAINS[name]
     g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
     lat = h * np.linalg.norm(g.offsets, axis=-1)
@@ -343,8 +343,8 @@ def test_arm_lengths_classes_and_irregular_rows(name):
         assert np.array_equal(g.irregular_rows, ring_rows)
     else:
         assert np.all(g.nbr_dist == lat) and g.irregular_rows.size == 0
-    assert g.irregular_dist.flags.c_contiguous
-    assert np.array_equal(g.irregular_dist, g.nbr_dist[g.irregular_rows].T)
+    assert g.irregular_arms.flags.c_contiguous
+    assert np.array_equal(g.irregular_arms, g.nbr_dist[g.irregular_rows])
     # arm_lengths gives any rows' arms, irregular or not, in any order
     rows = np.r_[g.irregular_rows[::-1], np.arange(0, g.interior_idx.size, 7)]
     assert np.array_equal(g.arm_lengths(rows), g.nbr_dist[rows].T)
@@ -358,6 +358,32 @@ def test_arm_lengths_classes_and_irregular_rows(name):
         assert all(bin(S).count("1") == m for S, _ in sets)
     assert sorted(S for _, sets in g.stencil_classes for S, _ in sets) == \
         list(range(1, 2 ** dom.dim))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_special_row_tables(name):
+    # the tables the kernel's irregular, tie and cusp passes read, against
+    # their definitions on every row
+    dom, h = REFERENCE_DOMAINS[name]
+    g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
+    rows = np.arange(g.interior_idx.size)
+    irr, K = g.irregular_rows, g.flat_off.size
+    assert np.array_equal(g.column_base, g.flat_off + g.lo)
+    # lat[position + flat_off] is the value of stencil column k of a row
+    position = g.lo + g.interior_pos
+    vals = np.random.default_rng(1).uniform(0.5, 1.5, g.n_nodes)
+    lat = g.lattice(vals)
+    for k in range(K):
+        assert np.array_equal(lat[position + g.flat_off[k]],
+                              vals[g.nbr_index[:, k]])
+    assert g.irregular_flat.flags.c_contiguous
+    assert np.array_equal(g.irregular_flat,
+                          position[irr, None] + g.flat_off)
+    assert np.array_equal(g.irregular_arms, g.arm_lengths(irr).T)
+    assert np.array_equal(g.irregular_start, np.arange(irr.size) * K)
+    assert np.array_equal(g.arm_lengths43(rows),
+                          g.arm_lengths(rows) ** (4.0 / 3.0))
+    assert np.array_equal(g.dmin43, g.dmin ** (4.0 / 3.0))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))

@@ -38,6 +38,16 @@ class TestConfig:
             solver.SolverConfig(variable="psi")
         with pytest.raises(ValueError):
             solver.SolverConfig(positivity_floor=0.0)
+        # a cap of 0 froze the interior of a decay run, and a negative one
+        # ran another scheme, while the solve returned normally
+        for bad in ({"grad_cap": 0.0}, {"grad_cap": -1.0},
+                    {"grad_cap": float("inf")}, {"grad_cap": float("nan")},
+                    {"grad_cap": "auto"}, {"auto_cap_scale": 0.0},
+                    {"auto_cap_scale": -0.6}, {"auto_cap_scale": float("nan")},
+                    {"max_steps": 0}, {"positivity_floor": float("nan")}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                solver.SolverConfig(**bad)
+        assert solver.SolverConfig(grad_cap=2).grad_cap == 2
 
 
 class TestDiscreteOperator:
@@ -187,6 +197,23 @@ class TestCfl:
                               solver.SolverConfig())
         assert steep < flat / 10.0
 
+    def test_clipped_last_substep_is_not_a_collapse(self):
+        # two CFL steps of just under T/2 leave a last substep of ~5e-15 T,
+        # clipped to land on the level: dt collapses only if the CFL step
+        # itself does
+        g = build_grid(Domain.interval(0, 1), 0.1, 0.1, 2)
+        datum = lambda x: 1.0 + 0.5 * x[:, 0]
+        bd = BoundaryData(f=datum, g=lambda x, t: datum(x))
+        _, coef = solver._rhs_and_coef(g, datum(g.sample_pos),
+                                       solver.SolverConfig(variable="phi"),
+                                       None)
+        cfl = float(np.max(coef)) * g.T * (1.0 - 5e-14) / 2.0
+        res = solver.solve(g, bd, solver.SolverConfig(
+            variable="phi", cfl=cfl, summarize_residual=False))
+        assert len(res.dt_history) == 3
+        assert res.dt_history[-1] < 1e-13 * g.T
+        assert sum(res.dt_history) == pytest.approx(g.T, rel=1e-15)
+
     def test_diffusive_scaling_under_refinement(self):
         cfg = solver.SolverConfig()
         dts = []
@@ -295,11 +322,15 @@ def _growing_data():
     return BoundaryData(f=u, g=lambda x, t: u(x) * np.exp(t / 3.0))
 
 
-@pytest.mark.parametrize("case", ["disk-phi", "box3d-eta", "interval-eta"])
+@pytest.mark.parametrize("case", ["disk-phi", "box3d-eta", "interval-eta",
+                                  "ball1d-phi", "ball3d-eta"])
 def test_solve_matches_node_ordered_march(case):
     domain, h, variable, bd = {
         "disk-phi": (Domain.ball((0.0, 0.0), 1.0), 0.125, "phi",
                      _collar_data()),
+        "ball1d-phi": (Domain.ball((0.0,), 1.0), 0.1, "phi", _collar_data()),
+        "ball3d-eta": (Domain.ball((0.0,) * 3, 1.0), 0.25, "eta",
+                       _growing_data()),
         "box3d-eta": (Domain.box([(-0.5, 0.5)] * 3), 0.125, "eta",
                       _growing_data()),
         "interval-eta": (Domain.interval(-1, 1), 0.1, "eta",
@@ -311,9 +342,11 @@ def test_solve_matches_node_ordered_march(case):
     values, dts, flags, clamps = reference_march(g, bd, cfg)
     assert np.array_equal(res.field.values, values)
     assert res.dt_history == dts and res.flags == flags
-    if case == "disk-phi":
+    if case.endswith("phi"):   # one and two classes, irregular rows
         assert g.irregular_rows.size and res.field.meta["grad_cap"]
         assert clamps > 0
+    if case == "ball3d-eta":
+        assert g.irregular_rows.size and len(g.stencil_classes) == 3
 
 
 def test_explicit_grad_cap_matches_the_auto_cap():
@@ -335,11 +368,14 @@ def test_explicit_grad_cap_matches_the_auto_cap():
 # ---------------------------------------------------------------------------
 
 # the balls have irregular rows (ring arms at projected lengths), the box
-# none; the 3-D grids have three distance classes, the disk two
+# and the interval none; the 3-D grids have three distance classes, the
+# disk two and the 1-D grids one, so no cross-class ties
 KERNEL_GRIDS = {
     "disk": build_grid(Domain.ball((0.0, 0.0), 1.0), 0.25, 0.5, 3),  # K = 8
     "box": build_grid(Domain.box([(0, 1)] * 3), 0.25, 0.5, 3),      # K = 26
     "ball3d": build_grid(Domain.ball((0.0,) * 3, 1.0), 0.25, 0.5, 3),  # 26
+    "interval": build_grid(Domain.interval(0, 1), 0.125, 0.5, 3),    # K = 2
+    "ball1d": build_grid(Domain.ball((0.0,), 0.9), 0.25, 0.5, 3),    # K = 2
 }
 
 
@@ -424,6 +460,8 @@ def test_kernel_cross_class_tie_and_flat_field(name):
     g = KERNEL_GRIDS[name]
     # flat: every slope is 0, every row a discrete maximum and minimum
     assert_kernel_matches_reference(g, np.full(g.n_nodes, 1.7))
+    if len(g.stencil_classes) == 1:
+        return   # one arm length: no tie across classes
     # a regular row whose largest slope is reached exactly by column 0
     # (the longest arm) and by the -e_0 arm, of length h = 2^-2, so that
     # argmax keeps the long arm while the classes meet shortest first
