@@ -36,9 +36,8 @@ separate so that the kernel's stencil can change without moving either.
 The kernel's special rows read tables built once: ``column_base = flat_off
 + lo``; the stencil positions ``irregular_flat`` and arm lengths
 ``irregular_arms`` of the ``irregular_rows`` as (n_irr, K) row-major
-tables, with ``irregular_start`` the flat index of each row's first entry;
-and the arm lengths to the power 4/3 (``arm_lengths43``, ``dmin43``).  The
-(Ni, K) tables ``nbr_index`` and ``nbr_dist`` remain as the build's
+tables; and the arm lengths to the power 4/3 (``arm_lengths43``,
+``dmin43``).  The (Ni, K) tables ``nbr_index`` and ``nbr_dist`` remain as the build's
 record: this module derives the shortest arms and the irregular rows from
 them, and the benchmark probes read their shape and size.
 
@@ -175,8 +174,8 @@ class CylinderGrid:
     stencil_extremes and box_reduce).  Arm lengths come from
     ``arm_lengths`` (``arm_lengths43`` to the power 4/3), with the shortest
     arm per row in ``dmin`` (``dmin43``); ``column_base`` and the
-    ``irregular_rows``' tables ``irregular_flat``, ``irregular_arms`` and
-    ``irregular_start`` serve the kernel's special rows (module docstring).
+    ``irregular_rows``' tables ``irregular_flat`` and ``irregular_arms``
+    serve the kernel's special rows (module docstring).
     The geometry of the cylinder is computed once here: ``pt_mask``, the
     (N, L) membership in P_T, and ``inner_rows``, the interior rows whose
     whole stencil is interior.  The neighbor tables ``nbr_index`` and
@@ -310,16 +309,14 @@ class CylinderGrid:
              [(S, slice(span[S], span[S] + size))
               for S in range(1, 2 ** self.dim) if bin(S).count("1") == m])
             for m in range(1, self.dim + 1)]
-        # rows with an arm off h |off|; their (n_irr, K) row-major tables
-        # of arm lengths and of flat stencil positions, and the flat index
-        # in those tables of each row's first entry
+        # rows with an arm off h |off|, and their (n_irr, K) row-major
+        # tables of arm lengths and of flat stencil positions
         irr = self.irregular_rows = np.flatnonzero(
             np.any(self.nbr_dist.T != lat[:, None], axis=0))
         self.irregular_arms = np.ascontiguousarray(self.nbr_dist[irr])
         self.column_base = self.flat_off + self.lo
         self.irregular_flat = (self.interior_pos[irr, None]
                                + self.column_base)
-        self.irregular_start = np.arange(irr.size) * self.flat_off.size
         # arm_lengths reads a row's column of the irregular arms, or the
         # lengths h |off| appended as the last column; the cusp branch
         # reads the same tables to the power 4/3

@@ -69,10 +69,9 @@ Each of these passes runs only when it has rows, on an (n, K) row-major
 block of lat[position + flat_off], so that argmax, argmin and take run
 along the contiguous axis.  The grid builds their fixed tables once: the
 irregular rows' stencil positions and arm lengths in that layout, and the
-arm lengths and shortest arms to the power 4/3 for the cusp branch.  With
-one distance class (1-D) the arm lengths stay one scalar until an
-irregular row needs its own.  solve() marches the interior values and
-writes them and the ring data back to the lattice array once per step.
+arm lengths and shortest arms to the power 4/3 for the cusp branch.
+solve() marches the interior values and writes them and the ring data
+back to the lattice array once per step.
 """
 
 from __future__ import annotations
@@ -117,21 +116,28 @@ class SolverConfig:
     summarize_residual: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
+        # a string or a bool from a JSON config is a ValueError here, so
+        # that the CLI reports it as a config error
+        if not (_real(self.cfl) and 0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
         if self.variable not in ("eta", "phi"):
             raise ValueError("variable must be 'eta' or 'phi'")
-        if not 0.0 < self.positivity_floor < math.inf:
+        floor = self.positivity_floor
+        if not (_real(floor) and 0.0 < floor < math.inf):
             raise ValueError("positivity_floor must be finite and positive")
         cap = self.grad_cap
-        if cap is not None and not (isinstance(cap, numbers.Real)
-                                    and 0.0 < cap < math.inf):
+        if cap is not None and not (_real(cap) and 0.0 < cap < math.inf):
             raise ValueError("grad_cap must be None or a finite positive "
                              "number")
-        if not self.auto_cap_scale > 0.0:
+        if not (_real(self.auto_cap_scale) and self.auto_cap_scale > 0.0):
             raise ValueError("auto_cap_scale must be positive")
-        if not self.max_steps >= 1:
+        if not (_real(self.max_steps) and self.max_steps >= 1):
             raise ValueError("max_steps must be at least 1")
+
+
+def _real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -175,18 +181,16 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
                 np.maximum(top, a, out=top)
                 np.minimum(bot, b, out=bot)
         top, bot = _slope(top[rows], c, d), _slope(bot[rows], c, d)
-        if sp is None:   # the arm lengths stay scalar while one class is in
-            sp, sm, dp, dm = top, bot, d, d
+        if sp is None:
+            sp, sm = top, bot
+            dp, dm = np.full(c.shape, d), np.full(c.shape, d)
             continue
         same = top == sp
         same |= bot == sm
         tie = same if tie is None else np.logical_or(tie, same, out=tie)
-        if np.ndim(dp):   # arrays from the second class on: in place
-            np.putmask(dp, top > sp, d)
-            np.putmask(dm, bot < sm, d)
-        else:
-            dp, dm = np.where(top > sp, d, dp), np.where(bot < sm, d, dm)
+        np.putmask(dp, top > sp, d)
         np.maximum(sp, top, out=sp)
+        np.putmask(dm, bot < sm, d)
         np.minimum(sm, bot, out=sm)
 
     # argmax form, ties to the first column, on the irregular rows and on
@@ -195,21 +199,19 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     exact = []
     if grid.irregular_rows.size:
         exact.append((grid.irregular_rows, lat[grid.irregular_flat],
-                      grid.irregular_arms, grid.irregular_start))
+                      grid.irregular_arms))
     if tie is not None and tie.any():
         ties = tie.nonzero()[0]
         ties = ties[(sp[ties] > 0.0) & (sm[ties] < 0.0)]
         if ties.size:
             exact.append((ties, _stencil_values(grid, lat, ties),
-                           grid.arm_lengths(ties).T,
-                           np.arange(ties.size) * grid.flat_off.size))
-    if exact and np.ndim(dp) == 0:
-        dp, dm = np.full(c.shape, dp), np.full(c.shape, dm)
+                           grid.arm_lengths(ties).T))
     plus, minus = grid.axis_columns
-    for r, s, dist, start in exact:
+    for r, s, dist in exact:
         s -= c[r, None]
         s /= dist
         kp, km = s.argmax(1), s.argmin(1)
+        start = np.arange(r.size) * s.shape[1]   # flat index of each row
         kp += start
         km += start
         sp[r], sm[r] = s.take(kp), s.take(km)
@@ -235,7 +237,7 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     dinf /= den
     dinf *= g2
     coef_c = np.multiply(g2, 2.0, out=g2)
-    coef_c /= np.multiply(dp, dm, out=den) if den.ndim else dp * dm
+    coef_c /= np.multiply(dp, dm, out=den)
 
     # discrete maxima (sign -1) and minima (+1); a flat row is both and
     # takes the minimum's sign, which is immaterial: all its slopes are 0,

@@ -91,7 +91,8 @@ class TestRunner:
         capsys.readouterr()
         for key, value in (("use_jit", True), ("stencil", "monotone_minmax"),
                            ("cfl", 0.0), ("grad_cap", 0.0),
-                           ("auto_cap_scale", 0.0), ("max_steps", 0)):
+                           ("auto_cap_scale", 0.0), ("auto_cap_scale", "0.6"),
+                           ("max_steps", 0), ("max_steps", True)):
             stale = self.write_cfg(tmp_path, {
                 "experiment": "decay",
                 "solver": {"variable": "phi", key: value},

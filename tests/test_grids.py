@@ -380,7 +380,6 @@ def test_special_row_tables(name):
     assert np.array_equal(g.irregular_flat,
                           position[irr, None] + g.flat_off)
     assert np.array_equal(g.irregular_arms, g.arm_lengths(irr).T)
-    assert np.array_equal(g.irregular_start, np.arange(irr.size) * K)
     assert np.array_equal(g.arm_lengths43(rows),
                           g.arm_lengths(rows) ** (4.0 / 3.0))
     assert np.array_equal(g.dmin43, g.dmin ** (4.0 / 3.0))

@@ -39,12 +39,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             solver.SolverConfig(positivity_floor=0.0)
         # a cap of 0 froze the interior of a decay run, and a negative one
-        # ran another scheme, while the solve returned normally
+        # ran another scheme, while the solve returned normally; a string
+        # from a JSON config raised TypeError, which the CLI did not catch
         for bad in ({"grad_cap": 0.0}, {"grad_cap": -1.0},
                     {"grad_cap": float("inf")}, {"grad_cap": float("nan")},
-                    {"grad_cap": "auto"}, {"auto_cap_scale": 0.0},
-                    {"auto_cap_scale": -0.6}, {"auto_cap_scale": float("nan")},
-                    {"max_steps": 0}, {"positivity_floor": float("nan")}):
+                    {"grad_cap": "auto"}, {"grad_cap": True},
+                    {"auto_cap_scale": 0.0}, {"auto_cap_scale": -0.6},
+                    {"auto_cap_scale": float("nan")},
+                    {"auto_cap_scale": "0.6"}, {"max_steps": 0},
+                    {"max_steps": "100"}, {"max_steps": True},
+                    {"cfl": "0.9"}, {"positivity_floor": float("nan")},
+                    {"positivity_floor": "1e-8"}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 solver.SolverConfig(**bad)
         assert solver.SolverConfig(grad_cap=2).grad_cap == 2
