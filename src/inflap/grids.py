@@ -33,13 +33,15 @@ over the 3^n box around each interior row, for the envelope sweeps and for
 ``inner_rows`` (the rows whose whole stencil is interior, where the
 residuals take their 2h pass and balls their clean rows).  The two are
 separate so that the kernel's stencil can change without moving either.
-The kernel's special rows read tables built once: ``column_base = flat_off
-+ lo``; the stencil positions ``irregular_flat`` and arm lengths
-``irregular_arms`` of the ``irregular_rows`` as (n_irr, K) row-major
-tables; and the arm lengths to the power 4/3 (``arm_lengths43``,
-``dmin43``).  The (Ni, K) tables ``nbr_index`` and ``nbr_dist`` remain as the build's
-record: this module derives the shortest arms and the irregular rows from
-them, and the benchmark probes read their shape and size.
+The stencil's columns run by distance class, shortest first: that order
+is the kernel's tie rule (see solver).  The kernel's special rows read
+tables built once: ``column_base = flat_off + lo``; the stencil positions
+``irregular_flat`` and arm lengths ``irregular_arms`` of the
+``irregular_rows`` as (n_irr, K) row-major tables; and the arm lengths to
+the power 4/3 (``arm_lengths43``, ``dmin43``).  The (Ni, K) tables
+``nbr_index`` and ``nbr_dist`` remain as the build's record: this module
+derives the shortest arms and the irregular rows from them, and the
+benchmark probes read their shape and size.
 
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Its
 parabolic boundary P_T is ``pt_mask``, an (N, L) bool: the initial slab
@@ -51,6 +53,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -79,6 +83,18 @@ class DataError(ValueError):
     """Boundary data violating positivity or continuity requirements."""
 
 
+def _real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(name, value):
+    """float(value); GridConfigError unless value is a finite real number."""
+    if not (_real(value) and math.isfinite(value)):
+        raise GridConfigError(f"{name} must be a finite number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Spatial region: interval [a,b], axis-aligned box, or ball.
@@ -93,24 +109,29 @@ class Domain:
 
     @staticmethod
     def interval(a, b):
+        a, b = _finite("interval end a", a), _finite("interval end b", b)
         if not b > a:
             raise GridConfigError("interval requires b > a")
-        return Domain("interval", ((float(a), float(b)),), 1)
+        return Domain("interval", ((a, b),), 1)
 
     @staticmethod
     def box(bounds):
-        bounds = tuple((float(a), float(b)) for a, b in bounds)
-        for a, b in bounds:
-            if not b > a:
-                raise GridConfigError("box requires max > min on every axis")
+        pairs = np.array(bounds, dtype=object)   # object: keeps bools
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size:
+            raise GridConfigError("box bounds must be one [min, max] per axis")
+        bounds = tuple(tuple(_finite("bounds", v) for v in b) for b in pairs)
+        if not all(a < b for a, b in bounds):
+            raise GridConfigError("box requires max > min on every axis")
         return Domain("box", bounds, len(bounds))
 
     @staticmethod
     def ball(center, radius):
-        center = tuple(float(c) for c in np.atleast_1d(center))
-        if not radius > 0:
-            raise GridConfigError("ball requires R > 0")
-        return Domain("ball", (center, float(radius)), len(center))
+        center = tuple(_finite("ball center", c)   # object: keeps bools
+                       for c in np.atleast_1d(np.array(center, dtype=object)))
+        radius = _finite("ball radius", radius)
+        if not (center and radius > 0):
+            raise GridConfigError("ball requires a center and R > 0")
+        return Domain("ball", (center, radius), len(center))
 
     # -- geometry predicates (vectorized over points of shape (..., dim)) --
 
@@ -155,8 +176,10 @@ class Domain:
 
 
 def _stencil_offsets(dim):
+    """The 3^n - 1 arms by number of nonzero entries (distance class), in
+    product order within a class: the kernel's tie rule (see solver)."""
     offs = [z for z in itertools.product((-1, 0, 1), repeat=dim) if any(z)]
-    return np.array(offs, dtype=int)
+    return np.array(sorted(offs, key=np.count_nonzero), dtype=int)
 
 
 @dataclass
@@ -171,11 +194,10 @@ class CylinderGrid:
     ``node_flat``; ``flat_off`` and the fields derived from it give the
     interior range ``[lo, hi)`` with ``interior_pos``, the axis
     ``strides`` and ``stencil_classes`` (see the module docstring,
-    stencil_extremes and box_reduce).  Arm lengths come from
-    ``arm_lengths`` (``arm_lengths43`` to the power 4/3), with the shortest
-    arm per row in ``dmin`` (``dmin43``); ``column_base`` and the
-    ``irregular_rows``' tables ``irregular_flat`` and ``irregular_arms``
-    serve the kernel's special rows (module docstring).
+    stencil_extremes and box_reduce).  The shortest arm per row is
+    ``dmin``; ``column_base``, the ``irregular_rows``' tables
+    ``irregular_flat`` and ``irregular_arms``, and ``arm_lengths43`` and
+    ``dmin43`` serve the kernel's special rows (module docstring).
     The geometry of the cylinder is computed once here: ``pt_mask``, the
     (N, L) membership in P_T, and ``inner_rows``, the interior rows whose
     whole stencil is interior.  The neighbor tables ``nbr_index`` and
@@ -192,7 +214,7 @@ class CylinderGrid:
     interior_mask: np.ndarray  # (N,) bool
     nbr_index: np.ndarray     # (Ni, K) node indices per offset, F order
     nbr_dist: np.ndarray      # (Ni, K) stencil distances, F order
-    offsets: np.ndarray       # (K, n) canonical offsets
+    offsets: np.ndarray       # (K, n) canonical offsets, by class
     t: np.ndarray             # (L,) time levels, t[0]=0, t[-1]=T
     node_flat: np.ndarray     # (N,) flat lattice position per node
     flat_off: np.ndarray      # (K,) flat lattice offset per column
@@ -260,14 +282,10 @@ class CylinderGrid:
             box = op(op(box[:n], box[s:s + n]), box[2 * s:])
         return box[self.interior_pos]
 
-    def arm_lengths(self, rows):
-        """(K, len(rows)) arm lengths of the interior rows ``rows``: the
-        lattice length h |off| of each column, or the projected distances
-        of an irregular row."""
-        return self._arm_table[:, self._arm_column[rows]]
-
     def arm_lengths43(self, rows):
-        """arm_lengths(rows) ** (4/3), from a table computed once."""
+        """(K, len(rows)) arm lengths of the interior rows ``rows`` to the
+        power 4/3: of the lattice length h |off| of each column, or of the
+        projected distances of an irregular row; from a table built once."""
         return self._arm_table43[:, self._arm_column[rows]]
 
     def __post_init__(self):
@@ -317,13 +335,12 @@ class CylinderGrid:
         self.column_base = self.flat_off + self.lo
         self.irregular_flat = (self.interior_pos[irr, None]
                                + self.column_base)
-        # arm_lengths reads a row's column of the irregular arms, or the
-        # lengths h |off| appended as the last column; the cusp branch
-        # reads the same tables to the power 4/3
-        self._arm_table = np.column_stack((self.irregular_arms.T, lat))
+        # arm_lengths43 reads a row's column of the irregular arms, or the
+        # lengths h |off| appended as the last column, to the power 4/3
+        self._arm_table43 = np.column_stack(
+            (self.irregular_arms.T, lat)) ** (4.0 / 3.0)
         self._arm_column = np.full(self.interior_idx.size, irr.size)
         self._arm_column[irr] = np.arange(irr.size)
-        self._arm_table43 = self._arm_table ** (4.0 / 3.0)
         self.dmin43 = self.dmin ** (4.0 / 3.0)
         # the rows whose 3^n box holds interior nodes only
         inside = np.zeros(self.lattice_size, dtype=bool)
@@ -350,8 +367,12 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     ``min_interior_per_axis`` interior nodes along some axis; pass a smaller
     value deliberately for toy grids).
     """
+    h, T = _finite("h", h), _finite("T", T)
     if h <= 0 or T <= 0:
         raise GridConfigError("h and T must be positive")
+    if not (_real(time_levels) and isinstance(time_levels, numbers.Integral)):
+        raise GridConfigError(
+            f"time_levels must be an integer: {time_levels!r}")
     if time_levels < 2:
         raise GridConfigError("need at least 2 time levels")
     n = domain.dim
@@ -446,7 +467,7 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     span = int(lat_strides.sum())
     t = np.linspace(0.0, T, time_levels)
     return CylinderGrid(
-        domain=domain, h=float(h), T=float(T), time_levels=int(time_levels),
+        domain=domain, h=h, T=T, time_levels=int(time_levels),
         pos=pos, sample_pos=sample_pos, interior_mask=interior,
         nbr_index=nbr.T, nbr_dist=dist.T, offsets=offsets, t=t,
         node_flat=np.flatnonzero(keep) + span, flat_off=offsets @ lat_strides,

@@ -61,15 +61,16 @@ over its arms with one slice max and one slice min each; the kernel
 merges the sets of a class, gathers the class max and min onto the
 interior rows, and takes one subtract and one divide per class.
 Rounding is monotone, so fl(fl(max_k v_k - v_c)/d) = max_k fl(fl(v_k -
-v_c)/d) bit for bit, as are the min and the eta upwind terms.  Irregular
-(ball ring) rows, and minmax rows where two classes tie for an extreme
-slope, are redone in argmax form, whose first-column tie rule may pick
-another arm length; extremum rows take the cusp branch, which ignores it.
-Each of these passes runs only when it has rows, on an (n, K) row-major
-block of lat[position + flat_off], so that argmax, argmin and take run
-along the contiguous axis.  The grid builds their fixed tables once: the
-irregular rows' stencil positions and arm lengths in that layout, and the
-arm lengths and shortest arms to the power 4/3 for the cusp branch.
+v_c)/d) bit for bit, as are the min and the eta upwind terms.  On equal
+extreme slopes the shorter arm counts: a longer class takes over only on
+a strictly larger slope, and the stencil's columns run by class, shortest
+first (see grids), so the argmax form's first-column rule is the same.
+Irregular (ball ring) rows are redone in that form; extremum rows take
+the cusp branch, a max over all arms.  Each pass runs only when it has
+rows, on an (n, K) row-major block of lat[position + flat_off], so that
+the reductions run along the contiguous axis.  The grid builds their
+tables once: the irregular rows' stencil positions and arm lengths in that
+layout, and the arm lengths and shortest arms to the power 4/3.
 solve() marches the interior values and writes them and the ring data
 back to the lattice array once per step.
 """
@@ -77,13 +78,12 @@ back to the lattice array once per step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grids import GridField, sample_boundary_data
+from .grids import GridField, _real, sample_boundary_data
 from . import transforms
 
 __all__ = [
@@ -135,11 +135,6 @@ class SolverConfig:
             raise ValueError("max_steps must be at least 1")
 
 
-def _real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class SolveResult:
     field: GridField
@@ -169,7 +164,7 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     """
     rows = grid.interior_pos
     axis_up = []
-    sp = tie = None
+    sp = None
     for d, pairs in grid.stencil_extremes(lat):
         top = bot = None
         for a, b in pairs:
@@ -185,29 +180,18 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
             sp, sm = top, bot
             dp, dm = np.full(c.shape, d), np.full(c.shape, d)
             continue
-        same = top == sp
-        same |= bot == sm
-        tie = same if tie is None else np.logical_or(tie, same, out=tie)
+        # strict: on equal slopes the shorter class keeps its length
         np.putmask(dp, top > sp, d)
         np.maximum(sp, top, out=sp)
         np.putmask(dm, bot < sm, d)
         np.minimum(sm, bot, out=sm)
 
-    # argmax form, ties to the first column, on the irregular rows and on
-    # the minmax rows where two classes reach the same extreme slope; each
-    # on an (n, K) row-major block, so that the reductions run along rows
-    exact = []
-    if grid.irregular_rows.size:
-        exact.append((grid.irregular_rows, lat[grid.irregular_flat],
-                      grid.irregular_arms))
-    if tie is not None and tie.any():
-        ties = tie.nonzero()[0]
-        ties = ties[(sp[ties] > 0.0) & (sm[ties] < 0.0)]
-        if ties.size:
-            exact.append((ties, _stencil_values(grid, lat, ties),
-                           grid.arm_lengths(ties).T))
-    plus, minus = grid.axis_columns
-    for r, s, dist in exact:
+    # the irregular rows in argmax form, on their (n, K) row-major block so
+    # that the reductions run along rows; a tie goes to the first column,
+    # the earliest class in the stencil's order, as on the regular rows
+    r = grid.irregular_rows
+    if r.size:
+        s, dist = lat[grid.irregular_flat], grid.irregular_arms
         s -= c[r, None]
         s /= dist
         kp, km = s.argmax(1), s.argmin(1)
@@ -216,7 +200,7 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
         km += start
         sp[r], sm[r] = s.take(kp), s.take(km)
         dp[r], dm[r] = dist.take(kp), dist.take(km)
-        for u, p, m in zip(axis_up, plus, minus):
+        for u, p, m in zip(axis_up, *grid.axis_columns):
             u[r] = np.maximum(s[:, p], s[:, m])
 
     # in place from here on (at 20k rows a fresh temporary adds about a
@@ -245,7 +229,7 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
     r = ((sp <= 0.0) | (sm >= 0.0)).nonzero()[0]
     if r.size:
         sign = np.where(sm[r] >= 0.0, 1.0, -1.0)
-        q = _stencil_values(grid, lat, r)
+        q = lat[grid.interior_pos[r, None] + grid.column_base]
         q -= c[r, None]
         q /= grid.arm_lengths43(r).T
         cusp_c = np.maximum((sign[:, None] * q).max(1), 0.0)
@@ -259,11 +243,6 @@ def _slope(v, c, d):
     v -= c
     v /= d
     return v
-
-
-def _stencil_values(grid, lat, r):
-    """(len(r), K) stencil values of the interior rows r, from lat."""
-    return lat[grid.interior_pos[r, None] + grid.column_base]
 
 
 def _lattice_rhs_coef(grid, lat, c, config, cap):
@@ -325,27 +304,20 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
     return dinf, coef_c
 
 
-def discrete_infinity_laplacian(grid, vals, mode="monotone_minmax"):
-    """D_inf at every interior node of one time slice.
-
-    monotone_minmax: G^2 * minmax second difference (order-preserving);
-    centered_diagnostic: direct centered contraction (accurate, for
-    residual work).  Returns an array over grid.interior_idx.
+def discrete_infinity_laplacian(grid, vals):
+    """The monotone D_inf, G^2 times the minmax second difference with the
+    cusp branch at discrete extrema, at every interior node of one time
+    slice.  Returns an array over grid.interior_idx.
     """
-    if mode == "monotone_minmax":
-        return _lattice_parts(grid, grid.lattice(vals),
-                              vals[grid.interior_idx], grad=False)[0]
-    if mode == "centered_diagnostic":
-        return transforms._infinity_laplacian_centered(grid, vals)[0]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _lattice_parts(grid, grid.lattice(vals), vals[grid.interior_idx],
+                          grad=False)[0]
 
 
-def _rhs_and_coef(grid, vals, config, cap, c=None):
+def _rhs_and_coef(grid, vals, config, cap):
     """_lattice_rhs_coef for node values vals: returns (rhs, coef) over the
-    interior rows; c is vals[interior_idx] if the caller has it."""
-    if c is None:
-        c = vals[grid.interior_idx]
-    return _lattice_rhs_coef(grid, grid.lattice(vals), c, config, cap)
+    interior rows."""
+    return _lattice_rhs_coef(grid, grid.lattice(vals),
+                             vals[grid.interior_idx], config, cap)
 
 
 def cfl_dt(grid, vals, config, cap=None):

@@ -106,7 +106,24 @@ class TestRunner:
                  "must be positive"),
                 ({"data": {"name": "eigen-profile", "params": {"R": -1}}},
                  "radius must be positive"),
-                ({"domain": {"kind": "box"}}, "'bounds'")):
+                ({"domain": {"kind": "box"}}, "'bounds'"),
+                # a string, a bool, NaN or a fraction where a number or an
+                # integer belongs raised TypeError or ValueError (exit 1)
+                ({"grid": {"h": "0.1"}}, "h must be a finite number"),
+                ({"grid": {"h": float("nan")}}, "h must be a finite"),
+                ({"grid": {"T": "1"}}, "T must be a finite number"),
+                ({"grid": {"time_levels": 2.5}}, "time_levels must be an"),
+                ({"grid": {"time_levels": True}}, "time_levels must be an"),
+                ({"domain": {"kind": "ball", "radius": "1"}}, "radius"),
+                ({"domain": {"kind": "ball", "center": [0.0, True]}},
+                 "center"),
+                ({"domain": {"kind": "box", "bounds": [[-1.0, "0.5"]]}},
+                 "bounds"),
+                ({"domain": {"kind": "box", "bounds": [[-1.0, 0.5, 1.0]]}},
+                 "bounds"),
+                ({"domain": {"kind": "box", "bounds": []}}, "bounds"),
+                ({"domain": {"kind": "ball", "center": []}}, "center"),
+                ({"domain": {"a": float("inf")}}, "interval end a")):
             broken = self.write_cfg(tmp_path, {
                 "experiment": "decay", **table,
                 "out_dir": str(tmp_path / "out")})

@@ -217,7 +217,7 @@ def test_three_dimensional_box_stencil():
     from inflap import solver
 
     vals = g.sample_pos @ np.array([0.3, -0.2, 0.5]) + 2.0
-    out = solver.discrete_infinity_laplacian(g, vals, "monotone_minmax")
+    out = solver.discrete_infinity_laplacian(g, vals)
     assert np.max(np.abs(out)) < 1e-10
 
 
@@ -345,9 +345,15 @@ def test_arm_lengths_classes_and_irregular_rows(name):
         assert np.all(g.nbr_dist == lat) and g.irregular_rows.size == 0
     assert g.irregular_arms.flags.c_contiguous
     assert np.array_equal(g.irregular_arms, g.nbr_dist[g.irregular_rows])
-    # arm_lengths gives any rows' arms, irregular or not, in any order
+    # arm_lengths43 gives any rows' arms, irregular or not, in any order
     rows = np.r_[g.irregular_rows[::-1], np.arange(0, g.interior_idx.size, 7)]
-    assert np.array_equal(g.arm_lengths(rows), g.nbr_dist[rows].T)
+    assert np.array_equal(g.arm_lengths43(rows),
+                          g.nbr_dist[rows].T ** (4.0 / 3.0))
+    # the columns run by distance class, so the arms of a regular row never
+    # shorten along them: the kernel's tie rule rests on this order
+    regular = np.setdiff1d(np.arange(g.interior_idx.size), g.irregular_rows)
+    assert regular.size > 0
+    assert np.all(np.diff(g.nbr_dist[regular], axis=1) >= 0.0)
     # the distance classes hold every axis set once, by size, shortest
     # first; class m is the length of the arms with m nonzero entries
     nnz = np.abs(g.offsets).sum(axis=1)
@@ -362,7 +368,7 @@ def test_arm_lengths_classes_and_irregular_rows(name):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
 def test_special_row_tables(name):
-    # the tables the kernel's irregular, tie and cusp passes read, against
+    # the tables the kernel's irregular and cusp passes read, against
     # their definitions on every row
     dom, h = REFERENCE_DOMAINS[name]
     g = build_grid(dom, h, 0.7, 4, min_interior_per_axis=1)
@@ -379,9 +385,9 @@ def test_special_row_tables(name):
     assert g.irregular_flat.flags.c_contiguous
     assert np.array_equal(g.irregular_flat,
                           position[irr, None] + g.flat_off)
-    assert np.array_equal(g.irregular_arms, g.arm_lengths(irr).T)
+    assert np.array_equal(g.irregular_arms, g.nbr_dist[irr])
     assert np.array_equal(g.arm_lengths43(rows),
-                          g.arm_lengths(rows) ** (4.0 / 3.0))
+                          g.nbr_dist[rows].T ** (4.0 / 3.0))
     assert np.array_equal(g.dmin43, g.dmin ** (4.0 / 3.0))
 
 

@@ -56,20 +56,22 @@ class TestConfig:
 
 
 class TestDiscreteOperator:
+    # both modes: the monotone operator and the centered one of the
+    # residuals
     def test_linear_field_both_modes(self):
         g = build_grid(Domain.box([(0, 1), (0, 1)]), 0.1, 0.5, 5)
         vals = 0.7 * g.sample_pos[:, 0] - 0.2 * g.sample_pos[:, 1] + 1.0
-        for mode in ("monotone_minmax", "centered_diagnostic"):
-            out = solver.discrete_infinity_laplacian(g, vals, mode)
+        for out in (solver.discrete_infinity_laplacian(g, vals),
+                    transforms._infinity_laplacian_centered(g, vals)[0]):
             assert np.max(np.abs(out)) < 1e-10
 
     def test_quadratic_both_modes(self):
         g = build_grid(Domain.box([(-1, 1), (-1, 1)]), 0.1, 0.5, 5)
         vals = 0.5 * np.sum(g.sample_pos ** 2, axis=1)
         r2 = np.sum(g.sample_pos[g.interior_idx] ** 2, axis=1)
-        cen = solver.discrete_infinity_laplacian(g, vals, "centered_diagnostic")
+        cen = transforms._infinity_laplacian_centered(g, vals)[0]
         assert np.max(np.abs(cen - r2)) < 1e-10
-        mono = solver.discrete_infinity_laplacian(g, vals, "monotone_minmax")
+        mono = solver.discrete_infinity_laplacian(g, vals)
         # wide-stencil monotone form carries an O(h + angular) error
         assert np.max(np.abs(mono - r2)) < 0.35 * np.max(r2) + 0.05
 
@@ -79,7 +81,7 @@ class TestDiscreteOperator:
                                        fixed_which="m")
         r = np.minimum(np.linalg.norm(g.sample_pos, axis=1), 1.0)
         vals = prof.eval(r)
-        cen = solver.discrete_infinity_laplacian(g, vals, "centered_diagnostic")
+        cen = transforms._infinity_laplacian_centered(g, vals)[0]
         target = -prof.lam * vals[g.interior_idx] ** 3
         ri = r[g.interior_idx]
         # away from both the center cusp and the projected boundary ring
@@ -91,7 +93,7 @@ class TestDiscreteOperator:
         g = build_grid(Domain.interval(-1, 1), 0.05, 0.5, 5)
         c = 1.3
         vals = 2.0 - c * np.abs(g.sample_pos[:, 0]) ** (4.0 / 3.0)
-        out = solver.discrete_infinity_laplacian(g, vals, "monotone_minmax")
+        out = solver.discrete_infinity_laplacian(g, vals)
         center_row = np.argmin(np.abs(g.sample_pos[g.interior_idx, 0]))
         assert abs(out[center_row] + 64.0 / 81.0 * c ** 3) < 1e-10
 
@@ -460,6 +462,14 @@ def test_kernel_extremum_rows(name, pattern):
     assert_kernel_matches_reference(g, vals)
 
 
+def equal_slopes(da, db, slope):
+    """Values va, vb near slope * (da, db) with va / da == vb / db exactly:
+    equal slopes of arms of lengths da and db from a centre value 0."""
+    while (slope * da) / da != (slope * db) / db:
+        slope = np.nextafter(slope, np.inf)
+    return slope * da, slope * db
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
 def test_kernel_cross_class_tie_and_flat_field(name):
     g = KERNEL_GRIDS[name]
@@ -467,22 +477,35 @@ def test_kernel_cross_class_tie_and_flat_field(name):
     assert_kernel_matches_reference(g, np.full(g.n_nodes, 1.7))
     if len(g.stencil_classes) == 1:
         return   # one arm length: no tie across classes
-    # a regular row whose largest slope is reached exactly by column 0
-    # (the longest arm) and by the -e_0 arm, of length h = 2^-2, so that
-    # argmax keeps the long arm while the classes meet shortest first
+    # a regular row whose largest, and then smallest, slope is reached
+    # exactly by a short arm and by every arm of the longest class, the
+    # last column among them; the short arm is -e_0 of class 1, and on the
+    # 3-D grids also -e_0 - e_1 of class 2.  The classes keep the shorter
+    # length, and so does argmax, which keeps the first column: the class
+    # order puts the short arm first, product order would put (-1, ..., -1)
     rng = np.random.default_rng(7)
-    vals = rng.uniform(0.5, 1.5, g.n_nodes)
     row = np.setdiff1d(np.arange(g.interior_idx.size), g.irregular_rows)[0]
     nbr, d = g.nbr_index[row], g.nbr_dist[row]
-    axis = g.offset_column(-np.eye(g.dim, dtype=int)[0])
-    vals[g.interior_idx[row]] = 0.0
-    vals[nbr] = rng.uniform(-1.0, 0.5, d.size) * d
-    vals[nbr[0]] = 0.8 * d[0]
-    vals[nbr[axis]] = g.h * (vals[nbr[0]] / d[0])
-    slopes = vals[nbr] / d
-    assert slopes[0] == slopes[axis] == slopes.max() > 0.0 > slopes.min()
-    assert d[0] > d[axis]
-    assert_kernel_matches_reference(g, vals)
+    long = np.flatnonzero(d == d.max())
+    assert long[-1] == d.size - 1
+    short = [-np.eye(g.dim, dtype=int)[0]]
+    if g.dim == 3:
+        short.append((-1, -1, 0))
+    for off in short:
+        k = g.offset_column(off)
+        assert d[k] < d[-1]
+        # the other arms' slopes spread over [-1, 1], in a random order
+        rest = np.setdiff1d(np.arange(d.size), np.r_[k, long])
+        for tie, first in ((1.6, np.argmax), (-1.6, np.argmin)):
+            vals = rng.uniform(0.5, 1.5, g.n_nodes)
+            vals[g.interior_idx[row]] = 0.0
+            vals[nbr[rest]] = rng.permutation(
+                np.linspace(-1.0, 1.0, rest.size)) * d[rest]
+            vals[nbr[k]], vals[nbr[long]] = equal_slopes(d[k], d[-1], tie)
+            slopes = vals[nbr] / d
+            assert np.all(slopes[long] == slopes[k]) and first(slopes) == k
+            assert slopes.max() > 0.0 > slopes.min()
+            assert_kernel_matches_reference(g, vals)
 
 
 @given(kernel_inputs())
