@@ -28,7 +28,8 @@ takes the side ("sub" or "super") as data:
 
 The envelopes, the Perron sup/inf and the family builders are likewise
 one body each, with max/min or the side's makers as data.  Neighborhood
-sizes (delta, tau) come from a sampled continuity modulus of h with
+sizes (delta, tau) come from a continuity modulus of h, read off its
+samples on the grid's P_T (sample_boundary_data, once per grid), with
 geometric back-off.  Anchors with h(anchor) = m (sub) or = M (super)
 return the constant barrier (the right convention for flat data, where no
 pinned bump is available).
@@ -112,26 +113,19 @@ class Barrier:
 # continuity modulus by geometric back-off
 # ---------------------------------------------------------------------------
 
-def _pt_samples(grid, bd):
-    """(h, sample position, time) at every P_T node-level of the grid: what
-    _modulus_backoff reads, sampled once per (bd, grid)."""
-    node, level = np.nonzero(grid.pt_mask)
-    return (sample_boundary_data(bd, grid).values[grid.pt_mask],
-            grid.sample_pos[node], grid.t[level])
-
-
-def _modulus_backoff(samples, anchor_pt, anchor_t, anchor_val, eps,
-                     delta0, tau0, max_halvings=60):
+def _modulus_backoff(hfield, anchor_pt, anchor_t, anchor_val, eps, delta0,
+                     tau0):
     """Shrink (delta, tau) until the oscillation of the P_T samples of h
-    (from _pt_samples) on the space-time neighborhood of the anchor is
-    <= eps."""
-    vals, pos, times = samples
-    dx = np.linalg.norm(pos - np.asarray(anchor_pt), axis=1)
-    dt_ = np.abs(times - anchor_t)
+    (hfield, from sample_boundary_data) on the space-time neighborhood of
+    the anchor is <= eps."""
+    grid = hfield.grid
+    # 0 off P_T: it cannot raise a max of |h - h(anchor)| >= 0
+    dev = np.where(grid.pt_mask, np.abs(hfield.values - anchor_val), 0.0)
+    dx = np.linalg.norm(grid.sample_pos - np.asarray(anchor_pt), axis=1)
+    dt_ = np.abs(grid.t - anchor_t)
     delta, tau = float(delta0), float(tau0)
-    for _ in range(max_halvings):
-        sel = (dx <= delta) & (dt_ <= tau)
-        osc = np.max(np.abs(vals[sel] - anchor_val)) if sel.any() else 0.0
+    for _ in range(60):
+        osc = dev[dx <= delta][:, dt_ <= tau].max(initial=0.0)
         if osc <= eps:
             return delta, tau
         delta *= 0.5
@@ -146,11 +140,13 @@ def _modulus_backoff(samples, anchor_pt, anchor_t, anchor_val, eps,
 # pinned sub/super barriers: one construction per family, side as data
 # ---------------------------------------------------------------------------
 
-def _require_sampled(bd, eps, kind):
-    if bd.m is None or bd.M is None:
-        raise BarrierError("sample_boundary_data must run before barriers")
+def _sampled(bd, grid, eps, kind):
+    """h on the P_T of grid (sampled once per grid), with room for a sub
+    barrier below m."""
+    hfield = sample_boundary_data(bd, grid)
     if kind == "sub" and not bd.m - 2.0 * eps > 0:
         raise BarrierError(f"need m - 2 eps > 0 (m={bd.m}, eps={eps})")
+    return hfield
 
 
 def _flat_barrier(family, anchor, eps, bd, kind, datum):
@@ -166,7 +162,7 @@ def _flat_barrier(family, anchor, eps, bd, kind, datum):
     return Barrier(spec, kind, lambda pts, t: np.full(len(pts), value))
 
 
-def _glued(kind, family, y, eps, bd, grid, pt_samples=None):
+def _glued(kind, family, y, eps, bd, grid):
     """alpha (interior anchor) or beta (boundary anchor) barrier at t = 0.
 
     The radial profile on the ball B_delta(y) runs from the center
@@ -175,7 +171,7 @@ def _glued(kind, family, y, eps, bd, grid, pt_samples=None):
     profile table at glue/center directly, which is unique because the
     center is monotone in lam.
     """
-    _require_sampled(bd, eps, kind)
+    hfield = _sampled(bd, grid, eps, kind)
     sub = kind == "sub"
     name = f"{family}_{'sub' if sub else 'sup'}"
     dom = grid.domain
@@ -191,10 +187,7 @@ def _glued(kind, family, y, eps, bd, grid, pt_samples=None):
         delta0 = 0.98 * float(dom.boundary_distance(y[None, :])[0])
     else:
         delta0 = 0.5 * dom.diameter()
-    if pt_samples is None:
-        pt_samples = _pt_samples(grid, bd)
-    delta, tau = _modulus_backoff(pt_samples, y, 0.0, fy, eps, delta0,
-                                  grid.T)
+    delta, tau = _modulus_backoff(hfield, y, 0.0, fy, eps, delta0, grid.T)
     if sub:
         glue, center = bd.m - 2.0 * eps, fy - 2.0 * eps
         low, high, table = glue, center, decay_table()
@@ -241,37 +234,34 @@ def _glued(kind, family, y, eps, bd, grid, pt_samples=None):
     return Barrier(BarrierSpec(name, anchor, eps, derived), kind, evaluate)
 
 
-# The makers take pt_samples = _pt_samples(grid, bd) when the caller has it;
-# the family builders pass it so that P_T is sampled once per family.
-
-def make_alpha_sub(y, eps, bd, grid, pt_samples=None):
+def make_alpha_sub(y, eps, bd, grid):
     """Sub barrier anchored at an interior point at t = 0."""
-    return _glued("sub", "alpha", y, eps, bd, grid, pt_samples)
+    return _glued("sub", "alpha", y, eps, bd, grid)
 
 
-def make_beta_sub(y, eps, bd, grid, pt_samples=None):
+def make_beta_sub(y, eps, bd, grid):
     """Sub barrier anchored at a boundary point at t = 0."""
-    return _glued("sub", "beta", y, eps, bd, grid, pt_samples)
+    return _glued("sub", "beta", y, eps, bd, grid)
 
 
-def make_alpha_sup(y, eps, bd, grid, pt_samples=None):
+def make_alpha_sup(y, eps, bd, grid):
     """Super barrier anchored at an interior point at t = 0."""
-    return _glued("super", "alpha", y, eps, bd, grid, pt_samples)
+    return _glued("super", "alpha", y, eps, bd, grid)
 
 
-def make_beta_sup(y, eps, bd, grid, pt_samples=None):
+def make_beta_sup(y, eps, bd, grid):
     """Super barrier anchored at a boundary point at t = 0."""
-    return _glued("super", "beta", y, eps, bd, grid, pt_samples)
+    return _glued("super", "beta", y, eps, bd, grid)
 
 
-def _lateral_anchor(kind, family, y, s, eps, bd, grid, pt_samples):
+def _lateral_anchor(kind, family, y, s, eps, bd, grid):
     """Prologue of the gamma makers at the lateral anchor (y, s).
 
     Returns (y, h(y, s), flat, delta, tau): flat is the constant barrier
     where h(y, s) sits at m (sub) or M (super), and (delta, tau) the
     backed-off neighborhood otherwise.
     """
-    _require_sampled(bd, eps, kind)
+    hfield = _sampled(bd, grid, eps, kind)
     if not 0.0 < s < grid.T:
         raise BarrierError("gamma anchor needs 0 < s < T")
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -279,9 +269,7 @@ def _lateral_anchor(kind, family, y, s, eps, bd, grid, pt_samples):
     flat = _flat_barrier(family, (tuple(y), s), eps, bd, kind, hys)
     if flat is not None:
         return y, hys, flat, None, None
-    if pt_samples is None:
-        pt_samples = _pt_samples(grid, bd)
-    delta, tau = _modulus_backoff(pt_samples, y, s, hys, eps,
+    delta, tau = _modulus_backoff(hfield, y, s, hys, eps,
                                   0.5 * grid.domain.diameter(),
                                   min(s, grid.T - s))
     return y, hys, None, delta, tau
@@ -297,7 +285,7 @@ def _tent(k, s, tau, t):
     return None
 
 
-def make_gamma_sub_cone(y, s, eps, bd, grid, pt_samples=None):
+def make_gamma_sub_cone(y, s, eps, bd, grid):
     """Sub barrier at a lateral anchor (y, s), s > 0: the double cone bump.
 
     In the log variable the lower cone solves the equation exactly
@@ -305,7 +293,7 @@ def make_gamma_sub_cone(y, s, eps, bd, grid, pt_samples=None):
     and c^4 + 3k above it.
     """
     y, hys, flat, delta0, tau = _lateral_anchor("sub", "gamma_sub_cone", y,
-                                                s, eps, bd, grid, pt_samples)
+                                                s, eps, bd, grid)
     if flat is not None:
         return flat
     log_ratio = math.log((hys - 2.0 * eps) / (bd.m - 2.0 * eps))
@@ -350,10 +338,10 @@ def make_gamma_sub_cone(y, s, eps, bd, grid, pt_samples=None):
     return Barrier(spec, "sub", evaluate, region_residual)
 
 
-def make_gamma_sup_cusp(y, s, eps, bd, grid, pt_samples=None):
+def make_gamma_sup_cusp(y, s, eps, bd, grid):
     """Super barrier at a lateral anchor (y, s): the cusp bump."""
     y, hys, flat, delta1, tau = _lateral_anchor("super", "gamma_sup_cusp", y,
-                                                s, eps, bd, grid, pt_samples)
+                                                s, eps, bd, grid)
     if flat is not None:
         return flat
     gam = math.log((bd.M + 2.0 * eps) / (bd.m + 2.0 * eps))
@@ -808,13 +796,12 @@ def perron_family_inf(barrs, grid):
 def _build_family(makers, grid, bd, eps, space_stride, time_stride,
                   interior_stride):
     alpha, beta, gamma = makers
-    pts = _pt_samples(grid, bd)
-    fam = [alpha(grid.sample_pos[i], eps, bd, grid, pts)
+    fam = [alpha(grid.sample_pos[i], eps, bd, grid)
            for i in grid.interior_idx[::interior_stride]]
-    fam += [beta(grid.sample_pos[i], eps, bd, grid, pts)
+    fam += [beta(grid.sample_pos[i], eps, bd, grid)
             for i in grid.boundary_idx[::space_stride]]
     for j in range(1, grid.time_levels - 1, time_stride):
-        fam += [gamma(grid.sample_pos[i], grid.t[j], eps, bd, grid, pts)
+        fam += [gamma(grid.sample_pos[i], grid.t[j], eps, bd, grid)
                 for i in grid.boundary_idx[::space_stride]]
     return fam
 

@@ -44,10 +44,6 @@ class ConfigError(ValueError):
     pass
 
 
-EXPERIMENTS = ("decay", "sandwich", "comparison", "radial-oracle",
-               "growth-bounds", "surrogate-unbounded", "full-suite")
-
-
 def _domain_from(cfg):
     kind = cfg.get("kind", "interval")
     if kind == "interval":
@@ -109,9 +105,9 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
+    if exp not in _BODIES:
         raise ConfigError(
-            f"config field 'experiment' must be one of {EXPERIMENTS}, "
+            f"config field 'experiment' must be one of {tuple(_BODIES)}, "
             f"got {exp!r}")
     return cfg
 
@@ -259,9 +255,8 @@ def _exp_radial_oracle(cfg, em, rng):
                  / (prof.lam * prof.m ** 3))
     rgrid, upic, _ = radial.picard_growing(1.0, 1.0, 1.0)
     margin = max(margin, float(np.max(np.abs(upic - grow.eval(rgrid)))))
-    em.write_csv("eigenvalue_table.csv", "R,lambda_B",
-                 [(R, radial.ball_eigenvalue(R))
-                  for R in cfg.get("radii", (0.5, 1.0, 2.0, 4.0))])
+    radial.eigenvalue_table_csv(cfg.get("radii", (0.5, 1.0, 2.0, 4.0)),
+                                em.out / "fields" / "eigenvalue_table.csv")
     radial.profile_to_csv(prof, em.out / "fields" / "decaying_profile.csv")
     radial.profile_to_csv(grow, em.out / "fields" / "growing_profile.csv")
     rep = harness.PropertyReport("radial_oracle", 4, float(margin), 1e-6,

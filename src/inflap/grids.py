@@ -83,9 +83,10 @@ class DataError(ValueError):
     """Boundary data violating positivity or continuity requirements."""
 
 
-def _real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _real(value, kind=numbers.Real):
+    """True for a number of kind (real, or numbers.Integral) that is not a
+    bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _finite(name, value):
@@ -370,7 +371,7 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     h, T = _finite("h", h), _finite("T", T)
     if h <= 0 or T <= 0:
         raise GridConfigError("h and T must be positive")
-    if not (_real(time_levels) and isinstance(time_levels, numbers.Integral)):
+    if not _real(time_levels, numbers.Integral):
         raise GridConfigError(
             f"time_levels must be an integer: {time_levels!r}")
     if time_levels < 2:
@@ -514,7 +515,10 @@ class BoundaryData:
     """Continuous data h on P_T: f(x) at t=0, g(x,t) on the lateral boundary.
 
     ``f`` maps (N, n) points to (N,) values; ``g`` maps ((N, n), t) to (N,).
-    m and M are filled in by sample_boundary_data.
+    ``samples`` is the field sample_boundary_data built for the last grid it
+    was given, and m and M are the inf and sup of h on that grid's P_T
+    (None before the first sampling).  The record assumes f and g stay as
+    they are; dataclasses.replace makes new data without one.
     """
 
     f: Callable
@@ -522,8 +526,16 @@ class BoundaryData:
     zero_lateral_ok: bool = False
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    m: Optional[float] = None
-    M: Optional[float] = None
+    samples: Optional[GridField] = field(default=None, init=False,
+                                         repr=False, compare=False)
+
+    @property
+    def m(self):
+        return None if self.samples is None else self.samples.meta["m"]
+
+    @property
+    def M(self):
+        return None if self.samples is None else self.samples.meta["M"]
 
     def h_on(self, points, tval):
         """The combined datum h at lateral points and time tval."""
@@ -532,17 +544,20 @@ class BoundaryData:
         return np.asarray(self.g(points, tval), dtype=float)
 
 
-def sample_boundary_data(bd, grid, continuity_tol=1e-6):
-    """Sample h on P_T; returns an (N, L) GridField with f on the initial
-    slab, g at the ring nodes on later levels, and NaN elsewhere.
+def sample_boundary_data(bd, grid):
+    """h on P_T, sampled once per grid: an (N, L) GridField with f on the
+    initial slab, g at the ring nodes on later levels, and NaN elsewhere.
 
     The field also holds g at the ring nodes at t = T, which are not in
-    P_T, so callers that want P_T alone mask with grid.pt_mask.
-
-    Records m = inf and M = sup of the samples on bd.  Raises DataError if
-    any sample is nonpositive (zero allowed when bd.zero_lateral_ok) or if
-    f and g disagree at the lateral boundary at t = 0.
+    P_T, so callers that want P_T alone mask with grid.pt_mask.  It is kept
+    as bd.samples, with m = inf and M = sup of the P_T samples in its meta,
+    and returned as it is while grid is the same object; another grid is
+    sampled afresh and replaces it.  Raises DataError if any sample is
+    nonpositive (zero allowed when bd.zero_lateral_ok) or if f and g
+    disagree at the lateral boundary at t = 0.
     """
+    if bd.samples is not None and bd.samples.grid is grid:
+        return bd.samples
     vals = np.full((grid.n_nodes, grid.time_levels), np.nan)
     vals[:, 0] = bd.f(grid.sample_pos)
     bidx = grid.boundary_idx
@@ -562,15 +577,14 @@ def sample_boundary_data(bd, grid, continuity_tol=1e-6):
     g0 = bd.g(bpts, 0.0)
     f0 = bd.f(bpts)
     gap = float(np.max(np.abs(g0 - f0))) if bidx.size else 0.0
-    if gap > continuity_tol * max(1.0, abs(M)):
+    if gap > 1e-6 * max(1.0, abs(M)):
         raise DataError(
             f"f and g disagree at the corner (gap {gap:.3g}); "
             "data must be continuous on P_T"
         )
-    bd.m, bd.M = m, M
-    out = GridField(grid, vals, "phi", meta={"m": m, "M": M,
-                                             "restricted_to": "P_T"})
-    return out
+    bd.samples = GridField(grid, vals, "phi", meta={"m": m, "M": M,
+                                                    "restricted_to": "P_T"})
+    return bd.samples
 
 
 # ---------------------------------------------------------------------------

@@ -360,13 +360,9 @@ def check_bump_improvement(jet, w0, z=None, theta=0.5, r=0.4, nu=0.01,
     details = {"mu": mu, "improvement": improvement, "delta": delta,
                "residual_at_anchor": res_anchor}
     if grid is not None:
-        host_fld = GridField.from_function(grid, lambda x, t: host(x, t))
-        merged = GridField(
-            grid,
-            np.maximum(host_fld.values,
-                       np.stack([bump.eval(grid.sample_pos, tj)
-                                 for tj in grid.t], axis=1)),
-            "phi")
+        merged = GridField(grid, np.maximum(
+            GridField.from_function(grid, host).values,
+            GridField.from_function(grid, bump.eval).values))
         node = int(np.argmin(np.linalg.norm(grid.sample_pos - z, axis=1)
                              + np.where(grid.interior_mask, 0, 1e9)))
         level = int(np.argmin(np.abs(grid.t - theta)))

@@ -78,6 +78,7 @@ back to the lattice array once per step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -131,8 +132,9 @@ class SolverConfig:
                              "number")
         if not (_real(self.auto_cap_scale) and self.auto_cap_scale > 0.0):
             raise ValueError("auto_cap_scale must be positive")
-        if not (_real(self.max_steps) and self.max_steps >= 1):
-            raise ValueError("max_steps must be at least 1")
+        if not (_real(self.max_steps, numbers.Integral)
+                and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer of at least 1")
 
 
 @dataclass
@@ -347,7 +349,7 @@ def solve(grid, bd, config=None):
     not count).
     """
     config = config or SolverConfig()
-    sample_boundary_data(bd, grid)  # validates positivity/continuity; sets m, M
+    hfield = sample_boundary_data(bd, grid)   # validated once per grid
     cap = _resolve_cap(grid, bd, config)
 
     L = grid.time_levels
@@ -364,7 +366,7 @@ def solve(grid, bd, config=None):
     # the interior values c are marched; lat holds every node's value for
     # the stencil reads
     values = np.empty((grid.n_nodes, L))
-    values[:, 0] = to_variable(bd.f(grid.sample_pos))
+    values[:, 0] = to_variable(hfield.values[:, 0])
     lat = grid.lattice(values[:, 0])
     c = values[grid.interior_idx, 0]
     inner = grid.lo + grid.interior_pos

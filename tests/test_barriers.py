@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inflap import barriers as B
-from inflap import radial
+from inflap import radial, solver
 from inflap.grids import (
     BoundaryData,
     Domain,
@@ -171,6 +171,43 @@ class TestCatalogPinsAndDomination:
         assert b.spec.constant and b.spec.derived == {"value": bd.M}
         assert bd.M == 2.0
         assert np.all(b.eval(g.sample_pos, 0.3) == 2.0)
+
+
+class TestSampledOncePerGrid:
+    def test_one_whole_grid_f_evaluation(self):
+        # sampling, both family builds and the solve share one evaluation
+        # of f over the grid; the makers' own calls are at single anchors
+        g = build_grid(Domain.interval(0.0, 1.0), 0.1, 0.5, 11)
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return 1.0 + 0.5 * np.sin(np.pi * x[:, 0])
+
+        bd = BoundaryData(f=f, g=lambda x, t: np.ones(len(x)))
+        sample_boundary_data(bd, g)
+        eps = 0.05 * (bd.M - bd.m)
+        B.build_sub_family(g, bd, eps)
+        B.build_sup_family(g, bd, eps)
+        solver.solve(g, bd, solver.SolverConfig(summarize_residual=False))
+        assert sizes.count(g.n_nodes) == 1
+
+    def test_makers_sample_for_themselves(self, setup_lateral):
+        # on data never sampled, each maker samples it and builds the
+        # barrier it builds after an explicit sampling
+        g, bd, _, eps = setup_lateral
+        for make, anchor in ((B.make_alpha_sub, ([0.4],)),
+                             (B.make_beta_sub, ([1.0],)),
+                             (B.make_alpha_sup, ([0.4],)),
+                             (B.make_beta_sup, ([0.0],)),
+                             (B.make_gamma_sub_cone, ([0.0], 0.25)),
+                             (B.make_gamma_sup_cusp, ([1.0], 0.25))):
+            fresh = BoundaryData(f=bd.f, g=bd.g)
+            got = make(np.array(anchor[0]), *anchor[1:], eps, fresh, g)
+            want = make(np.array(anchor[0]), *anchor[1:], eps, bd, g)
+            assert fresh.samples.grid is g and got.spec == want.spec
+            assert np.array_equal(got.eval_field(g).values,
+                                  want.eval_field(g).values)
 
 
 class TestRegionResiduals:

@@ -92,7 +92,8 @@ class TestRunner:
         for key, value in (("use_jit", True), ("stencil", "monotone_minmax"),
                            ("cfl", 0.0), ("grad_cap", 0.0),
                            ("auto_cap_scale", 0.0), ("auto_cap_scale", "0.6"),
-                           ("max_steps", 0), ("max_steps", True)):
+                           ("max_steps", 0), ("max_steps", True),
+                           ("max_steps", 2.5)):
             stale = self.write_cfg(tmp_path, {
                 "experiment": "decay",
                 "solver": {"variable": "phi", key: value},

@@ -1,5 +1,6 @@
 """Grid, parabolic boundary, and boundary-data sampling tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -179,6 +180,32 @@ class TestBoundaryData:
         # lateral t=T slab is stored (it is data for the solver) even though
         # it is not in P_T
         assert np.all(fld.values[g.boundary_idx, -1] == 2.0)
+
+    def test_sampled_once_per_grid(self):
+        # the field is kept on the data: the same grid object gets it back,
+        # another grid replaces it, and m and M follow the record
+        g1 = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
+        g2 = build_grid(Domain.interval(0, 2), 0.25, 1.0, 5)
+        bd = BoundaryData(f=lambda x: 1.0 + x[:, 0],
+                          g=lambda x, t: 1.0 + x[:, 0])
+        assert bd.samples is None and bd.m is None and bd.M is None
+        fld = sample_boundary_data(bd, g1)
+        assert sample_boundary_data(bd, g1) is fld is bd.samples
+        assert (bd.m, bd.M) == (1.0, 2.0)
+        fld2 = sample_boundary_data(bd, g2)
+        assert bd.samples is fld2 and fld2.grid is g2
+        assert (bd.m, bd.M) == (1.0, 3.0)
+        # an equal grid that is another object is sampled afresh
+        g1b = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
+        fld1b = sample_boundary_data(bd, g1b)
+        assert fld1b is not fld
+        assert np.array_equal(fld1b.values, fld.values, equal_nan=True)
+        assert (bd.m, bd.M) == (1.0, 2.0)
+        # m and M are read off the record, and a copy of the data starts
+        # without one
+        with pytest.raises(AttributeError):
+            bd.m = 0.5
+        assert dataclasses.replace(bd, name="copy").samples is None
 
 
 class TestGridField:

@@ -48,11 +48,13 @@ class TestConfig:
                     {"auto_cap_scale": float("nan")},
                     {"auto_cap_scale": "0.6"}, {"max_steps": 0},
                     {"max_steps": "100"}, {"max_steps": True},
+                    {"max_steps": 2.5},
                     {"cfl": "0.9"}, {"positivity_floor": float("nan")},
                     {"positivity_floor": "1e-8"}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 solver.SolverConfig(**bad)
         assert solver.SolverConfig(grad_cap=2).grad_cap == 2
+        assert solver.SolverConfig(max_steps=np.int64(9)).max_steps == 9
 
 
 class TestDiscreteOperator:
