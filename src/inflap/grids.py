@@ -537,12 +537,6 @@ class BoundaryData:
     def M(self):
         return None if self.samples is None else self.samples.meta["M"]
 
-    def h_on(self, points, tval):
-        """The combined datum h at lateral points and time tval."""
-        if tval == 0.0:
-            return np.asarray(self.f(points), dtype=float)
-        return np.asarray(self.g(points, tval), dtype=float)
-
 
 def sample_boundary_data(bd, grid):
     """h on P_T, sampled once per grid: an (N, L) GridField with f on the

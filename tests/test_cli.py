@@ -93,7 +93,7 @@ class TestRunner:
                            ("cfl", 0.0), ("grad_cap", 0.0),
                            ("auto_cap_scale", 0.0), ("auto_cap_scale", "0.6"),
                            ("max_steps", 0), ("max_steps", True),
-                           ("max_steps", 2.5)):
+                           ("max_steps", 2.5), ("positivity_floor", 1e-8)):
             stale = self.write_cfg(tmp_path, {
                 "experiment": "decay",
                 "solver": {"variable": "phi", key: value},

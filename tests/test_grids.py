@@ -248,15 +248,6 @@ def test_three_dimensional_box_stencil():
     assert np.max(np.abs(out)) < 1e-10
 
 
-def test_boundary_data_h_on_accessor():
-    bd = BoundaryData(f=lambda x: 2.0 + x[:, 0],
-                      g=lambda x, t: (2.0 + x[:, 0]) * np.exp(-t))
-    pts = np.array([[0.0], [1.0]])
-    np.testing.assert_allclose(bd.h_on(pts, 0.0), [2.0, 3.0])
-    np.testing.assert_allclose(bd.h_on(pts, 1.0),
-                               np.array([2.0, 3.0]) * np.exp(-1.0))
-
-
 def build_grid_reference(domain, h, T, time_levels):
     """(pos, sample_pos, interior_mask, nbr_index, nbr_dist, offsets, t) of
     build_grid, built node by node over lattice-tuple dicts."""
