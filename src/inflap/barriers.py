@@ -394,10 +394,9 @@ def make_gamma_sup_cusp(y, s, eps, bd, grid):
 
 @dataclass
 class StaircaseBarrier:
-    """Slab functions psi(x) g_k(t) / 2^(k-1) on [T_k, T_(k+1)]."""
+    """Slab functions psi(|x|) g_k(t) / 2^(k-1) on [T_k, T_(k+1)]."""
 
     psi: RadialProfile
-    center: np.ndarray
     lam_bar: float
     eps: float
     times: np.ndarray       # T_1 .. T_(K+1)
@@ -421,7 +420,7 @@ class StaircaseBarrier:
 
     def _psi_at(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts - self.center, axis=1)
+        r = np.linalg.norm(pts, axis=1)
         return self.psi.eval(np.minimum(r, self.psi.R))
 
     def eval(self, points, t):
@@ -443,16 +442,16 @@ class StaircaseBarrier:
                 / 2.0 ** (3 * (k - 1) + 1) * (e - 2.0) / (e - 1.0))
 
 
-def make_staircase_sup(bd, psi, eps, n_slabs=5, lateral_sup=None,
-                       center=None, t_scan_max=1e6):
+def make_staircase_sup(bd, psi, eps, n_slabs=5, lateral_sup=None):
     """Build the slab sequence below decaying lateral data.
 
     ``psi`` must be a decaying profile with boundary value eps (its
-    equation parameter is the staircase rate lam_bar).  ``lateral_sup``
-    maps t to sup over the lateral boundary of g; by default it is read
-    off bd.params for catalog data.  The slab times satisfy
-    exp(lam_bar (T_(k+1)-T_k)/3) >= 2, T_(k+1) >= T_k + 1, and
-    lateral_sup(t) <= eps/2^(k+1) for t >= T_(k+1).
+    equation parameter is the staircase rate lam_bar), centred at the
+    origin.  ``lateral_sup`` maps t to sup over the lateral boundary of g;
+    by default it is read off bd.params for catalog data.  The slab times
+    satisfy exp(lam_bar (T_(k+1)-T_k)/3) >= 2, T_(k+1) >= T_k + 1, and
+    lateral_sup(t) <= eps/2^(k+1) for t >= T_(k+1).  Raises BarrierError
+    if lateral_sup does not fall to a level it needs before t = 1e6.
     """
     if abs(psi.delta - eps) > 1e-9 * max(1.0, eps):
         raise BarrierError("psi must have boundary value eps")
@@ -472,9 +471,9 @@ def make_staircase_sup(bd, psi, eps, n_slabs=5, lateral_sup=None,
         lo, hi = 0.0, 1.0
         while lateral_sup(hi) > level:
             hi *= 2.0
-            if hi > t_scan_max:
+            if hi > 1e6:
                 raise BarrierError("lateral data does not decay below "
-                                   f"{level:g} before t={t_scan_max:g}")
+                                   f"{level:g} before t=1e+06")
         return bisect_monotone(lambda t: level - lateral_sup(t), lo, hi,
                                xtol=1e-10)
 
@@ -483,9 +482,7 @@ def make_staircase_sup(bd, psi, eps, n_slabs=5, lateral_sup=None,
     for k in range(1, n_slabs + 1):
         t_next = max(times[-1] + min_gap, threshold(eps / 2.0 ** (k + 1)))
         times.append(t_next)
-    ctr = np.zeros(1) if center is None else np.atleast_1d(
-        np.asarray(center, dtype=float))
-    return StaircaseBarrier(psi, ctr, lam_bar, eps, np.array(times))
+    return StaircaseBarrier(psi, lam_bar, eps, np.array(times))
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +622,12 @@ def make_asym01_barrier(z, L, lam, delta, domain):
     # boundary extremes of R_z for the distance constant
     if domain.kind == "ball":
         r0 = r1 = 2.0 * domain.bounds[1]
-    elif domain.kind == "interval":
-        r0 = r1 = domain.bounds[0][1] - domain.bounds[0][0]
-    else:
-        lo = np.array([b[0] for b in domain.bounds])
-        hi = np.array([b[1] for b in domain.bounds])
-        half = 0.5 * (hi - lo)
-        full = hi - lo
-        cands = []
-        for ax in range(domain.dim):
-            d2 = full[ax] ** 2 + float(np.sum(half ** 2)) - half[ax] ** 2
-            cands.append(math.sqrt(d2))
-        r0 = min(cands)                      # face centers
-        r1 = float(np.linalg.norm(full))     # corners (the diameter)
+    else:   # an interval is a box of one axis
+        full = np.array([b - a for a, b in domain.bounds])
+        half = 0.5 * full
+        # face centers, and corners (the diameter)
+        r0 = float(np.min(np.sqrt(full ** 2 + np.sum(half ** 2) - half ** 2)))
+        r1 = float(np.linalg.norm(full))
     C = (4.0 * r1 ** (1.0 / 3.0) / 3.0) * max(
         r0 ** (-4.0 / 3.0), (lam * POWER_SIGMA) ** (1.0 / 3.0))
     return Asym01Barrier(z, float(delta), float(lam), float(L), R_z, K_z,
@@ -865,13 +855,13 @@ def _two_ring(grid, node):
     return ring.tolist()
 
 
-def jet_touch_test(fld, node, level, kind="sub", tol=1e-7):
+def jet_touch_test(fld, node, level, kind="sub"):
     """Fit the closest quadratic-in-(x,t) touching the field at a node from
     above (sub case; from below for super) on the 2-ring space-time
     neighborhood, and evaluate the jet inequality <Xp,p> - 3 a w^2.
 
-    Returns (passed, value, jet).  Sub-solutions need value >= -tol at
-    every node; super-solutions need value <= tol.
+    Returns (passed, value, jet).  Sub-solutions need value >= -1e-7 at
+    every node; super-solutions need value <= 1e-7.
     """
     from scipy.optimize import minimize
 
@@ -930,5 +920,5 @@ def jet_touch_test(fld, node, level, kind="sub", tol=1e-7):
     a = res.x[0]
     p = res.x[1:1 + n]
     value = float(p @ X @ p - 3.0 * a * w0 ** 2)
-    passed = value >= -tol if kind == "sub" else value <= tol
+    passed = value >= -1e-7 if kind == "sub" else value <= 1e-7
     return passed, value, (a, p, X)

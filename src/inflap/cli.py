@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from . import __version__, harness, radial, solver
 from . import barriers as bar
 from .catalog import CATALOG, catalog_entries, make_data
 from .grids import (BoundaryData, DataError, Domain, GridConfigError,
-                    build_grid, field_to_csv, grid_to_json,
+                    _real, build_grid, field_to_csv, grid_to_json,
                     sample_boundary_data, write_csv)
 from .quadrature import QuadratureError
 from .radial import RadialParameterError
@@ -201,8 +202,11 @@ def _exp_sandwich(cfg, em, rng):
 
 def _exp_comparison(cfg, em, rng):
     grid, bd = _grid_and_data(cfg, 0.1, 0.4, 6, "gaussian-bump")
-    n_barrier = int(cfg.get("barrier_pairs", 10))
-    n_solver = int(cfg.get("solver_pairs", 5))
+    n_barrier = cfg.get("barrier_pairs", 10)
+    n_solver = cfg.get("solver_pairs", 5)
+    for key, n in (("barrier_pairs", n_barrier), ("solver_pairs", n_solver)):
+        if not (_real(n, numbers.Integral) and n >= 0):
+            raise ConfigError(f"{key} must be a non-negative integer: {n!r}")
     eps = 0.05 * (bd.M - bd.m)
     worst = -np.inf
     count = 0

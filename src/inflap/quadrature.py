@@ -27,8 +27,9 @@ class QuadratureError(RuntimeError):
     """Raised when a quadrature or root-finding routine cannot meet tolerance."""
 
 
-def bisect_monotone(f, lo, hi, xtol=1e-12, max_iter=200):
-    """Bisection for a root of a monotone scalar function with a sign change."""
+def bisect_monotone(f, lo, hi, xtol=1e-12):
+    """Bisection for a root of a monotone scalar function with a sign change,
+    stopped when the bracket is at most xtol wide or after 200 halvings."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -37,7 +38,7 @@ def bisect_monotone(f, lo, hi, xtol=1e-12, max_iter=200):
     if flo * fhi > 0.0:
         raise QuadratureError(f"bisection bracket [{lo}, {hi}] does not straddle "
                               f"a root (f={flo:.3e}, {fhi:.3e})")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:

@@ -112,14 +112,15 @@ class RadialProfile:
             return self.m
         return float(self.eval(self.R))
 
-    def ode_residual(self, r, fd_step=2e-5):
-        """(u')^2 u'' -/+ lambda u^3 with u'' from differencing the analytic u'.
+    def ode_residual(self, r):
+        """(u')^2 u'' -/+ lambda u^3, u'' the centred difference of u' at
+        step 2e-5 R.
 
         Signs follow the family: + lambda u^3 for decaying, - lambda u^3 for
         growing, so the exact profile gives zero.  Not meaningful at r = 0.
         """
         r = np.asarray(r, dtype=float)
-        eps = fd_step * self.R
+        eps = 2e-5 * self.R
         up = self.deriv(r)
         u2 = (self.deriv(r + eps) - self.deriv(np.clip(r - eps, 0.0, None))) / (2 * eps)
         u = self.eval(r)
@@ -243,18 +244,19 @@ def sup_lower_bound_check(lam, delta, profile):
 # Picard fixed-point cross-oracle
 # ---------------------------------------------------------------------------
 
-def _picard_iterate(R, lam, anchor, sign, n, tol, max_iter):
-    """Iterate u <- anchor + sign*(3 lam)^(1/3) II(u) on a cube-graded grid.
+def _picard_iterate(R, lam, anchor, sign, max_iter):
+    """Iterate u <- anchor + sign*(3 lam)^(1/3) II(u) on a cube-graded grid
+    of 2049 points until two iterates differ by less than 1e-12.
 
     II(u)(r) = integral_0^r (integral_0^t u^3 ds)^(1/3) dt.  Both integrals
     are computed in the substitution t = tau^3 (and s = sigma^3), which makes
     every integrand smooth at the origin, so cumulative Simpson converges at
     full order.  Returns (r_grid, u_values, iterations).
     """
-    tau = np.linspace(0.0, R ** (1.0 / 3.0), n)
+    tau = np.linspace(0.0, R ** (1.0 / 3.0), 2049)
     dtau = tau[1] - tau[0]
     r = tau ** 3
-    u = np.full(n, float(anchor))
+    u = np.full(tau.size, float(anchor))
     coef = (3.0 * lam) ** (1.0 / 3.0)
     for it in range(1, max_iter + 1):
         inner = cumulative_simpson(3.0 * tau ** 2 * u ** 3, dtau)
@@ -262,7 +264,7 @@ def _picard_iterate(R, lam, anchor, sign, n, tol, max_iter):
         new = anchor + sign * coef * outer
         diff = float(np.max(np.abs(new - u)))
         u = new
-        if diff < tol:
+        if diff < 1e-12:
             return r, u, it
     raise QuadratureError(
         f"Picard iteration did not converge within {max_iter} iterations "
@@ -270,22 +272,22 @@ def _picard_iterate(R, lam, anchor, sign, n, tol, max_iter):
     )
 
 
-def picard_growing(R, lam, delta, n=2049, tol=1e-12, max_iter=10_000):
+def picard_growing(R, lam, delta, max_iter=10_000):
     """Independent oracle for the growing profile via its integral fixed point.
 
     u(r) = delta + (3 lam)^(1/3) integral_0^r (integral_0^t u^3)^(1/3) dt,
-    iterated from u = delta until the sup-difference falls below ``tol``.
+    iterated from u = delta until the sup-difference falls below 1e-12.
     """
-    return _picard_iterate(R, lam, delta, +1.0, n, tol, max_iter)
+    return _picard_iterate(R, lam, delta, +1.0, max_iter)
 
 
-def picard_decaying(R, lam, m, n=2049, tol=1e-12, max_iter=10_000):
+def picard_decaying(R, lam, m, max_iter=10_000):
     """Picard oracle for the decaying profile at a fixed center value m.
 
     u(r) = m - (3 lam)^(1/3) integral_0^r (integral_0^t u^3)^(1/3) dt.
     The boundary value u(R) is whatever the center value implies.
     """
-    return _picard_iterate(R, lam, m, -1.0, n, tol, max_iter)
+    return _picard_iterate(R, lam, m, -1.0, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,16 @@ scheme therefore switches to the cusp-consistent monotone value
 (v_c - v_k)/d_k^(4/3) estimates c and is distance-consistent for the
 radial model, non-increasing in each neighbor value, so monotonicity is
 kept; at smooth critical points the value is O(h^2).  The CFL bound
-makes the update non-decreasing in the center value.  Away from extrema
-it is non-decreasing in every neighbor value only while the one-sided
-slopes stay within a factor 3 of each other: G comes from the same
-slopes as S2, so G^2 S2 falls as max_k s_k rises where
-3 max_k s_k + min_k s_k < 0 (and mirrored).  Smooth data at small h
-stays inside that range; random fields do not.  The |D eta|^4 term uses
-the axiswise upwind estimate
+makes the update non-decreasing in the center value in eta mode.  In phi
+mode it need not: the bound coef_c / (3 phi^2) leaves out the 2 rhs / phi
+that the lagged 1 / phi^2 adds to -d(rhs)/d(phi_c), so where rhs > 0 and
+the gradient cap does not bind, a raised centre value can lower the
+update.  Away from extrema it is non-decreasing in every neighbor value
+only while the one-sided slopes stay within a factor 3 of each other:
+G comes from the same slopes as S2, so G^2 S2 falls as max_k s_k rises
+where 3 max_k s_k + min_k s_k < 0 (and mirrored).  Smooth data at small
+h stays inside that range; random fields do not.  The |D eta|^4 term
+uses the axiswise upwind estimate
 Q^2 = sum_i max((v_{+i}-v_c)/d_{+i}, (v_{-i}-v_c)/d_{-i}, 0)^2, which
 is monotone.  Stencil constants in the CFL rule: S = 1 weights the
 second-order coefficient 2 G^2 / d_min^2, and U = sqrt(n) weights the
@@ -132,6 +135,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.variable not in ("eta", "phi"):
             raise ValueError("variable must be 'eta' or 'phi'")
+        if not isinstance(self.summarize_residual, bool):
+            raise ValueError("summarize_residual must be true or false")
 
 
 @dataclass
@@ -248,13 +253,14 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
     """Monotone right-hand side dv/dt and the CFL coefficient over the
     interior rows, for the neighbour values in lat and the centre values c.
 
-    coef is a per-node bound on -d(rhs)/d(v_c), scaled so that
-    dt <= cfl / max(coef) keeps the update non-decreasing in the center
-    value.  With coef_c from _lattice_parts,
+    coef bounds -d(rhs)/d(v_c) per node, scaled so that dt <= cfl /
+    max(coef) keeps the update non-decreasing in the center value, except
+    in phi mode (see below).  With coef_c from _lattice_parts,
     eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
     phi mode:  coef = coef_c / (3 max(phi, floor)^2),
     where the gradient cap, on zero-lateral data, scales coef_c down and
-    clips Q.
+    clips Q.  The phi-mode coef leaves out the 2 rhs / phi of the lagged
+    1 / phi^2: where rhs > 0 and the cap does not bind, it is no bound.
     """
     tiny = 1e-300
     eta = config.variable == "eta"
@@ -370,7 +376,7 @@ def solve(grid, bd, config=None):
     c = values[grid.interior_idx, 0]
     inner = grid.lo + grid.interior_pos
     dt_history = []
-    flags = {"positivity_ok": True, "cfl_shrunk": False}
+    flags = {"positivity_ok": True}
 
     for j in range(1, L):
         t_now = grid.t[j - 1]
@@ -407,8 +413,6 @@ def solve(grid, bd, config=None):
                     f"exceeded max_steps={config.max_steps}"
                 )
         values[:, j] = lat[nodes]
-    if len(dt_history) > L - 1:
-        flags["cfl_shrunk"] = True
 
     fld = GridField(grid, np.exp(values) if eta else values, "phi",
                     {"solved_in": config.variable, "grad_cap": cap})

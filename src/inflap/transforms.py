@@ -25,7 +25,7 @@ interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,15 +51,15 @@ class TransformError(ValueError):
     """Raised for invalid variable transforms (nonpositive phi)."""
 
 
-def to_eta(fld, floor=0.0):
+def to_eta(fld):
     """eta = log(phi).  Requires positive phi wherever values are finite."""
     if fld.variable_tag != "phi":
         raise TransformError("to_eta expects a phi field")
     vals = fld.values
     finite = np.isfinite(vals)
-    if np.any(vals[finite] <= floor):
+    if np.any(vals[finite] <= 0.0):
         raise TransformError(
-            f"phi must exceed {floor} everywhere for the log transform "
+            "phi must exceed 0.0 everywhere for the log transform "
             f"(min {np.min(vals[finite]):.3g})"
         )
     out = np.where(finite, np.log(np.where(finite, vals, 1.0)), np.nan)
@@ -140,7 +140,6 @@ class ResidualReport:
     compare residual magnitudes against it.
     """
 
-    operator_tag: str
     values: np.ndarray
     sup_norm: float
     band: float
@@ -148,7 +147,6 @@ class ResidualReport:
     clean_rows: np.ndarray
     onesided_levels: np.ndarray
     sigma: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, grid, path):
         """CSV rows (x..., t, residual), level by level."""
@@ -205,8 +203,7 @@ def _make_report(grid, vals, tag, sigma):
         band = float(np.max(band_nodes[usable]))
     else:
         band = heuristic_band(grid, vals) + 1e-13
-    return ResidualReport(tag, res, sup, band, band_nodes, clean, onesided,
-                          sigma)
+    return ResidualReport(res, sup, band, band_nodes, clean, onesided, sigma)
 
 
 def residual_Pi(fld):

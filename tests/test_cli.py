@@ -93,13 +93,25 @@ class TestRunner:
                            ("cfl", 0.0), ("grad_cap", 0.0),
                            ("auto_cap_scale", 0.0), ("auto_cap_scale", "0.6"),
                            ("max_steps", 0), ("max_steps", True),
-                           ("max_steps", 2.5), ("positivity_floor", 1e-8)):
+                           ("max_steps", 2.5), ("positivity_floor", 1e-8),
+                           ("summarize_residual", "false")):
             stale = self.write_cfg(tmp_path, {
                 "experiment": "decay",
                 "solver": {"variable": "phi", key: value},
                 "out_dir": str(tmp_path / "out")})
             assert cli.run(stale) == 2
             assert key in capsys.readouterr().err
+        # a fraction, a string, a bool or a negative number is no pair
+        # count (int() would run 2, 3, 1 and 0 pairs and exit 0)
+        for key, value in (("barrier_pairs", 2.5), ("barrier_pairs", "3"),
+                           ("barrier_pairs", True), ("barrier_pairs", -1),
+                           ("solver_pairs", 2.5), ("solver_pairs", -1)):
+            pairs = self.write_cfg(tmp_path, {
+                "experiment": "comparison", key: value,
+                "out_dir": str(tmp_path / "out")})
+            assert cli.run(pairs) == 2
+            assert f"{key} must be a non-negative integer" in \
+                capsys.readouterr().err
         for table, problem in (
                 ({"grid": {"h": 0.3}}, "does not tile"),
                 ({"grid": {"time_levels": 1}}, "2 time levels"),

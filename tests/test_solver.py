@@ -36,6 +36,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="variable"):
             solver.SolverConfig(variable="psi")
+        for flag in ("false", 0, 1, None):
+            with pytest.raises(ValueError, match="summarize_residual"):
+                solver.SolverConfig(summarize_residual=flag)
         # the step constants are fixed, not options
         assert [f.name for f in dataclasses.fields(solver.SolverConfig)] \
             == ["variable", "summarize_residual"]
@@ -184,7 +187,7 @@ class TestCfl:
         # gradient terms vanish: each substep is the full level gap
         assert len(res.dt_history) == g.time_levels - 1
         assert np.allclose(res.dt_history, g.dt_level)
-        assert not res.flags["cfl_shrunk"]
+        assert list(res.flags) == ["positivity_ok"]
 
     def test_steep_field_shrinks_dt(self):
         g = build_grid(Domain.interval(0, 1), 0.1, 0.4, 5)
@@ -298,7 +301,7 @@ def reference_march(grid, bd, cfg):
             dts.append(dt)
         values.append(work.copy())
     values = np.stack(values, axis=1)
-    flags = {"positivity_ok": ok, "cfl_shrunk": len(dts) > len(grid.t) - 1}
+    flags = {"positivity_ok": ok}
     return np.exp(values) if eta else values, dts, flags, clamps
 
 
@@ -517,4 +520,26 @@ def test_update_non_decreasing_in_each_neighbour(inputs, data):
     before = vals[node] + dt * solver._rhs_and_coef(g, vals, cfg, cap)[0][row]
     after = raised[node] + dt * solver._rhs_and_coef(
         g, raised, cfg, cap)[0][row]
+    assert after >= before - 1e-12 * abs(before)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the phi-mode CFL coef leaves out the 2 rhs / phi that the "
+    "lagged 1 / phi^2 adds to -d(rhs)/d(phi_c), so where rhs > 0 and no cap "
+    "binds, a raised centre value lowers the update"))
+@given(st.sampled_from(sorted(KERNEL_GRIDS)), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          phases=(Phase.generate,))   # no shrinking: the defect is known
+def test_update_non_decreasing_in_the_centre(name, data):
+    g, cfg = KERNEL_GRIDS[name], solver.SolverConfig(variable="phi")
+    vals = data.draw(hnp.arrays(float, g.n_nodes, elements=st.floats(0.2, 3.0),
+                                fill=st.nothing()))
+    row = data.draw(st.integers(0, g.interior_idx.size - 1))
+    node = g.interior_idx[row]
+    raised = vals.copy()
+    raised[node] += 1e-6
+    dt = solver.cfl_dt(g, vals, cfg)
+    before = vals[node] + dt * solver._rhs_and_coef(g, vals, cfg, None)[0][row]
+    after = raised[node] + dt * solver._rhs_and_coef(
+        g, raised, cfg, None)[0][row]
     assert after >= before - 1e-12 * abs(before)
