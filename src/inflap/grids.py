@@ -38,10 +38,12 @@ is the kernel's tie rule (see solver).  The kernel's special rows read
 tables built once: ``column_base = flat_off + lo``; the stencil positions
 ``irregular_flat`` and arm lengths ``irregular_arms`` of the
 ``irregular_rows`` as (n_irr, K) row-major tables; and the arm lengths to
-the power 4/3 (``arm_lengths43``, ``dmin43``).  The (Ni, K) tables
-``nbr_index`` and ``nbr_dist`` remain as the build's record: this module
-derives the shortest arms and the irregular rows from them, and the
-benchmark probes read their shape and size.
+the power 4/3 (``arm_lengths43``, ``dmin43``).  The build walks the
+stencil one column at a time and keeps only the irregular rows, their arms
+and the shortest arm per row, ``dmin``.  The (Ni, K) neighbour tables
+``nbr_index`` and ``nbr_dist`` are not kept: the grid computes them from
+that record on first access, for tests and probes, and no module here
+reads them.
 
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Its
 parabolic boundary P_T is ``pt_mask``, an (N, L) bool: the initial slab
@@ -51,6 +53,7 @@ part of P_T, matching the half-open lateral boundary).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -201,9 +204,9 @@ class CylinderGrid:
     ``dmin43`` serve the kernel's special rows (module docstring).
     The geometry of the cylinder is computed once here: ``pt_mask``, the
     (N, L) membership in P_T, and ``inner_rows``, the interior rows whose
-    whole stencil is interior.  The neighbor tables ``nbr_index`` and
-    ``nbr_dist`` are the build's record, stored in Fortran order; no other
-    module reads their entries.
+    whole stencil is interior.  The (Ni, K) neighbor tables ``nbr_index``
+    and ``nbr_dist``, in Fortran order, are computed on first access for
+    tests and probes; the grid does not hold them otherwise.
     """
 
     domain: Domain
@@ -213,8 +216,9 @@ class CylinderGrid:
     pos: np.ndarray           # (N, n) lattice coordinates
     sample_pos: np.ndarray    # (N, n) positions where data/fields live
     interior_mask: np.ndarray  # (N,) bool
-    nbr_index: np.ndarray     # (Ni, K) node indices per offset, F order
-    nbr_dist: np.ndarray      # (Ni, K) stencil distances, F order
+    irregular_rows: np.ndarray  # (n_irr,) interior rows with an arm off h|off|
+    irregular_arms: np.ndarray  # (n_irr, K) their arm lengths, row-major
+    dmin: np.ndarray          # (Ni,) shortest arm per interior row
     offsets: np.ndarray       # (K, n) canonical offsets, by class
     t: np.ndarray             # (L,) time levels, t[0]=0, t[-1]=T
     node_flat: np.ndarray     # (N,) flat lattice position per node
@@ -232,6 +236,23 @@ class CylinderGrid:
     @property
     def dt_level(self):
         return self.t[1] - self.t[0]
+
+    @functools.cached_property
+    def nbr_index(self):
+        """(Ni, K) node index of every stencil arm of every interior row,
+        in F order."""
+        node_at = np.full(self.lattice_size, -1, dtype=np.int64)
+        node_at[self.node_flat] = np.arange(self.n_nodes)
+        return node_at[self.column_base[:, None] + self.interior_pos].T
+
+    @functools.cached_property
+    def nbr_dist(self):
+        """(Ni, K) length of every stencil arm of every interior row, in F
+        order: h |off|, or the irregular rows' arms."""
+        lat = self.h * np.linalg.norm(self.offsets, axis=-1)
+        dist = np.repeat(lat[:, None], self.interior_idx.size, axis=1)
+        dist[:, self.irregular_rows] = self.irregular_arms.T
+        return dist.T
 
     def offset_column(self, offset):
         """Column index in the neighbor table of a canonical offset."""
@@ -295,7 +316,6 @@ class CylinderGrid:
         }
         self.interior_idx = np.flatnonzero(self.interior_mask)
         self.boundary_idx = np.flatnonzero(~self.interior_mask)
-        self.dmin = np.min(self.nbr_dist, axis=1)    # (Ni,) shortest arm
         # neighbor-table columns of +e_i and of -e_i, one per axis
         axes = np.eye(self.dim, dtype=int)
         self.axis_columns = ([self.offset_column(e) for e in axes],
@@ -328,11 +348,9 @@ class CylinderGrid:
              [(S, slice(span[S], span[S] + size))
               for S in range(1, 2 ** self.dim) if bin(S).count("1") == m])
             for m in range(1, self.dim + 1)]
-        # rows with an arm off h |off|, and their (n_irr, K) row-major
-        # tables of arm lengths and of flat stencil positions
-        irr = self.irregular_rows = np.flatnonzero(
-            np.any(self.nbr_dist.T != lat[:, None], axis=0))
-        self.irregular_arms = np.ascontiguousarray(self.nbr_dist[irr])
+        # the flat stencil positions of the irregular rows, (n_irr, K)
+        # row-major as their arm lengths
+        irr = self.irregular_rows
         self.column_base = self.flat_off + self.lo
         self.irregular_flat = (self.interior_pos[irr, None]
                                + self.column_base)
@@ -440,25 +458,40 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     # pad, so that the flat index of z + off never wraps to another row
     node_of = np.full(tuple(s + 2 for s in shape), -1, dtype=np.int64)
     node_of[core][keep.reshape(shape)] = np.arange(keep.sum())
-    flat_off = offsets @ (np.array(node_of.strides) // node_of.itemsize)
+    pad_off = offsets @ (np.array(node_of.strides) // node_of.itemsize)
     node_of = node_of.ravel()
     int_ids = np.flatnonzero(interior)
     flat_i = np.flatnonzero(node_of >= 0)[int_ids]
-    # (K, Ni) in C order: the (Ni, K) tables are their F-order transposes
-    nbr = node_of[flat_off[:, None] + flat_i]
-    if np.any(nbr < 0):
-        raise GridConfigError(
-            "internal error: interior node with incomplete stencil"
-        )
+    # one stencil column at a time: every arm must reach a node, and a
+    # ball's ring arms are collected in (column, row) order
+    ring = []
+    for k, off in enumerate(pad_off):
+        nbr = node_of[flat_i + off]
+        if np.any(nbr < 0):
+            raise GridConfigError(
+                "internal error: interior node with incomplete stencil"
+            )
+        if domain.kind == "ball":
+            row = np.flatnonzero(~interior[nbr])
+            ring.append((np.full(row.size, k), row, nbr[row]))
     lat_dist = h * np.linalg.norm(offsets, axis=-1)
-    dist = np.repeat(lat_dist[:, None], int_ids.size, axis=1)
-    if domain.kind == "ball":
+    dmin = np.full(int_ids.size, lat_dist.min())
+    irr = np.zeros(0, dtype=np.intp)
+    arms = np.zeros((0, len(offsets)))
+    if ring:
         # ring arms: projected distance, clamped to [0.4 h, 1.5 |off| h];
-        # the row dot is the one np.linalg.norm takes on a single vector
-        k, row = np.nonzero(~interior[nbr])
-        diff = sample_pos[nbr[k, row]] - pos[int_ids[row]]
+        # the row dot is the one np.linalg.norm takes on a single vector,
+        # taken over all arms at once
+        k, row, nbr = (np.concatenate(a) for a in zip(*ring))
+        diff = sample_pos[nbr] - pos[int_ids[row]]
         d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-        dist[k, row] = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
+        d = np.minimum(np.maximum(d, 0.4 * h), 1.5 * lat_dist[k])
+        # the irregular rows: an arm off its lattice length
+        irr = np.unique(row[d != lat_dist[k]])
+        arms = np.tile(lat_dist, (irr.size, 1))
+        mine = np.isin(row, irr)
+        arms[np.searchsorted(irr, row[mine]), k[mine]] = d[mine]
+        dmin[irr] = arms.min(axis=1)
 
     # the stencil reads use the lattice without the one-point pad, flat and
     # padded by the stencil span at both ends: the stencil of an interior
@@ -470,7 +503,8 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
     return CylinderGrid(
         domain=domain, h=h, T=T, time_levels=int(time_levels),
         pos=pos, sample_pos=sample_pos, interior_mask=interior,
-        nbr_index=nbr.T, nbr_dist=dist.T, offsets=offsets, t=t,
+        irregular_rows=irr, irregular_arms=arms, dmin=dmin,
+        offsets=offsets, t=t,
         node_flat=np.flatnonzero(keep) + span, flat_off=offsets @ lat_strides,
         lattice_size=keep.size + 2 * span,
     )

@@ -379,7 +379,7 @@ def check_bump_improvement(jet, w0, theta=0.5, r=0.4, grid=None):
 # ---------------------------------------------------------------------------
 
 def check_large_ball_surrogate(radii=(2.0, 4.0, 8.0), T=0.25, bump_amp=1.0,
-                               base=2.0, config=None):
+                               base=2.0):
     """Interior bounds inf f - tol_R <= phi <= sup f + tol_R on the
     half-radius subinterval, with tol_R decreasing in R; each interval
     [-R, R] is solved with h = R/16 on 6 time levels.
@@ -413,7 +413,7 @@ def check_large_ball_surrogate(radii=(2.0, 4.0, 8.0), T=0.25, bump_amp=1.0,
             f=lambda x: np.where(np.abs(x[:, 0]) >= R * (1 - 1e-9),
                                  upper_lateral, f(x)),
             g=lambda x, t: np.full(len(x), upper_lateral))
-        res_up = solver.solve(grid, bd_up, config)
+        res_up = solver.solve(grid, bd_up)
         # barrier parameter: growing profile from sup_f at the half-ball
         # edge reaching the adversarial datum at distance R/2
         from .quadrature import grow_table
@@ -435,7 +435,7 @@ def check_large_ball_surrogate(radii=(2.0, 4.0, 8.0), T=0.25, bump_amp=1.0,
             f=lambda x: np.where(np.abs(x[:, 0]) >= R * (1 - 1e-9),
                                  lower_lateral, f(x)),
             g=lambda x, t: np.full(len(x), lower_lateral))
-        res_lo = solver.solve(grid, bd_lo, config)
+        res_lo = solver.solve(grid, bd_lo)
         lam_eig = radial.ball_eigenvalue(R / 2.0)
         tol_lo = inf_f * (1.0 - math.exp(-lam_eig * T / 3.0))
         m_lo = float((inf_f - tol_lo) - np.min(res_lo.field.values[half]))

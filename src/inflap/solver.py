@@ -414,12 +414,16 @@ def solve(grid, bd, config=None):
                 )
         values[:, j] = lat[nodes]
 
-    fld = GridField(grid, np.exp(values) if eta else values, "phi",
-                    {"solved_in": config.variable, "grad_cap": cap})
+    # in eta mode the summary reads the eta values before they become phi
+    # in place, so that the solve holds one (N, L) array of values
     summary = None
     if config.summarize_residual and L >= 3:
         if eta:
             summary = transforms.residual_Gamma(GridField(grid, values, "eta"))
-        elif np.all(fld.values[grid.interior_idx] > 0):
-            summary = transforms.residual_Pi(fld)
+        elif np.all(values[grid.interior_idx] > 0):
+            summary = transforms.residual_Pi(GridField(grid, values, "phi"))
+    if eta:
+        np.exp(values, out=values)
+    fld = GridField(grid, values, "phi",
+                    {"solved_in": config.variable, "grad_cap": cap})
     return SolveResult(fld, dt_history, summary, flags, config)

@@ -123,7 +123,9 @@ def _time_derivative(vals, dt, stride=1):
     N, L = vals.shape
     out = np.full((N, L), np.nan)
     s = stride
-    out[:, s:L - s] = (vals[:, 2 * s:] - vals[:, :L - 2 * s]) / (2 * s * dt)
+    mid = out[:, s:L - s]
+    np.subtract(vals[:, 2 * s:], vals[:, :L - 2 * s], out=mid)
+    mid /= 2 * s * dt
     out[:, 0] = (-3 * vals[:, 0] + 4 * vals[:, 1] - vals[:, 2]) / (2 * dt)
     out[:, -1] = (3 * vals[:, -1] - 4 * vals[:, -2] + vals[:, -3]) / (2 * dt)
     return out
@@ -158,10 +160,10 @@ class ResidualReport:
                                    self.values.T.ravel())))
 
 
-def _residual(grid, vals, tag, sigma, step, levels):
+def _residual(grid, vals, inner, tag, sigma, step, levels):
     """Residual on the interior rows at the given levels (one column per
-    level), with spacing step * h in space and step * dt in time."""
-    inner = vals[grid.interior_idx]
+    level), with spacing step * h in space and step * dt in time; inner is
+    vals at the interior rows."""
     vt = _time_derivative(inner, grid.dt_level, step)
     res = np.empty((inner.shape[0], len(levels)))
     for col, j in enumerate(levels):
@@ -182,19 +184,27 @@ def heuristic_band(grid, vals):
 
 
 def _make_report(grid, vals, tag, sigma):
+    # one gather of the interior rows serves both passes, and no copy of
+    # the residual outlives its use: these passes hold the largest arrays
+    # of a solve with its summary
     L = grid.time_levels
-    res = _residual(grid, vals, tag, sigma, 1, range(L))
+    interior = vals[grid.interior_idx]
+    res = _residual(grid, vals, interior, tag, sigma, 1, range(L))
     inner = grid.inner_rows
     clean = inner | (grid.domain.kind != "ball")
     onesided = np.zeros(L, dtype=bool)
     onesided[0] = onesided[-1] = True
     centered = ~onesided
-    body = res[clean][:, centered]
-    sup = float(np.nanmax(np.abs(body))) if body.size else float("nan")
+    body = np.abs(res[np.ix_(clean, centered)])
+    sup = float(np.nanmax(body)) if body.size else float("nan")
+    del body
     band_nodes = np.full(res.shape[0], np.nan)
     if L > 4 and np.any(inner):
-        res2 = _residual(grid, vals, tag, sigma, 2, range(2, L - 2))
-        diff = np.abs(res[inner, 2:L - 2] - res2[inner])
+        res2 = _residual(grid, vals, interior, tag, sigma, 2, range(2, L - 2))
+        del interior
+        diff = res[inner, 2:L - 2]
+        diff -= res2[inner]
+        np.abs(diff, out=diff)
         with np.errstate(invalid="ignore"):
             per_row = np.nanmax(diff, axis=1) / 3.0
         band_nodes[inner] = 10.0 * per_row + 1e-13

@@ -7,14 +7,16 @@ small here; the full acceptance configuration runs in test_acceptance.py.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from inflap import radial, solver, transforms
-from inflap.grids import BoundaryData, Domain, build_grid
+from inflap import catalog, radial, solver, transforms
+from inflap.grids import BoundaryData, Domain, GridField, build_grid, \
+    sample_boundary_data
 
 LAMBDA_B1 = radial.ball_eigenvalue(1.0)  # interval half-width 1 or unit ball
 
@@ -276,7 +278,8 @@ def test_ordered_initial_data_same_lateral():
 
 def reference_march(grid, bd, cfg):
     """solve()'s march in node order through the node-ordered kernel entry
-    point: (values, dt_history, flags, positivity clamps taken)."""
+    point: (values in the marched variable, dt_history, flags, positivity
+    clamps taken)."""
     floor, eta = cfg.positivity_floor, cfg.variable == "eta"
     cap = solver._resolve_cap(grid, bd, cfg)
     ii, bi = grid.interior_idx, grid.boundary_idx
@@ -302,7 +305,7 @@ def reference_march(grid, bd, cfg):
         values.append(work.copy())
     values = np.stack(values, axis=1)
     flags = {"positivity_ok": ok}
-    return np.exp(values) if eta else values, dts, flags, clamps
+    return values, dts, flags, clamps
 
 
 def _collar_data():
@@ -340,8 +343,19 @@ def test_solve_matches_node_ordered_march(case):
     cfg = solver.SolverConfig(variable=variable, summarize_residual=False)
     res = solver.solve(g, bd, cfg)
     values, dts, flags, clamps = reference_march(g, bd, cfg)
-    assert np.array_equal(res.field.values, values)
+    eta = variable == "eta"
+    assert np.array_equal(res.field.values, np.exp(values) if eta else values)
     assert res.dt_history == dts and res.flags == flags
+    if eta:
+        # the summary reads the eta values before solve() turns them into
+        # phi in place: the field is the same, and so is every report entry
+        summed = solver.solve(g, bd, dataclasses.replace(
+            cfg, summarize_residual=True))
+        assert np.array_equal(summed.field.values, res.field.values)
+        expect = transforms.residual_Gamma(GridField(g, values, "eta"))
+        for f in dataclasses.fields(expect):
+            assert np.array_equal(getattr(summed.residual_summary, f.name),
+                                  getattr(expect, f.name), equal_nan=True)
     # the cap is on for zero-lateral data only
     if bd.zero_lateral_ok:
         assert res.field.meta["grad_cap"] == \
@@ -353,6 +367,28 @@ def test_solve_matches_node_ordered_march(case):
         assert clamps > 0
     if case == "ball3d-eta":
         assert g.irregular_rows.size and len(g.stencil_classes) == 3
+
+
+def test_box3d_growth_solve_memory():
+    # the box3d-growth benchmark solve: eta mode with its residual summary,
+    # on data sampled beforehand; its traced heap peak is at most five
+    # (N, L) fields, and the grid holds no (Ni, K) neighbour table
+    grid = build_grid(Domain.box([(-0.5, 0.5)] * 3), 0.05, 1.0, 21)
+    bd = catalog.make_data("growing-profile-trace",
+                           {"R": 1.0, "lam": 1.0, "delta": 1.0,
+                            "center": [0.0, 0.0, 0.0]})
+    sample_boundary_data(bd, grid)
+    cfg = solver.SolverConfig(variable="eta", summarize_residual=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = solver.solve(grid, bd, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.residual_summary is not None
+    assert "nbr_index" not in vars(grid) and "nbr_dist" not in vars(grid)
+    assert peak <= 5 * grid.n_nodes * grid.time_levels * 8
 
 
 # ---------------------------------------------------------------------------
