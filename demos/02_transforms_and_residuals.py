@@ -16,7 +16,7 @@ grid = build_grid(Domain.ball((0.0, 0.0), 1.0), 0.1, 0.5, 17)
 
 print("== exact separable solution: eigenfunction times e^(-lambda t/3) ==")
 psi = radial.decaying_profile(1.0, lam_b, 1.0, fixed_which="m")
-sep = tf.make_separable(psi, k=-lam_b / 3.0, center=(0.0, 0.0))
+sep = tf.make_separable(psi, k=-lam_b / 3.0)
 print("classification:", sep.classification)
 rep = tf.residual_Pi(sep.as_field(grid))
 r = np.linalg.norm(grid.sample_pos[grid.interior_idx], axis=1)
@@ -27,8 +27,7 @@ print(f"discrete residual sup away from the center cusp: "
 
 print("\n== general time factor: Pi(u g) = -g^2 u^3 (lam g + 3 g') ==")
 prof = radial.decaying_profile(1.0, 0.5 * lam_b, 1.0, fixed_which="m")
-sep2 = tf.make_separable(prof, g=lambda t: 1.0 + t, gprime=lambda t: 1.0,
-                         center=(0.0, 0.0))
+sep2 = tf.make_separable(prof, g=lambda t: 1.0 + t, gprime=lambda t: 1.0)
 pts = np.array([[0.3, 0.1], [0.0, -0.5]])
 print("closed-form residual at two points, t=0.2:",
       np.round(sep2.residual_exact(pts, 0.2), 6))
@@ -41,7 +40,7 @@ print("classification:", frozen.classification,
 print("\n== sub/super signs survive the log transform ==")
 for k, label in ((-prof.lam / 3 - 0.8, "sub"), (-prof.lam / 3 + 0.8,
                                                 "super")):
-    s = tf.make_separable(prof, k=k, center=(0.0, 0.0))
+    s = tf.make_separable(prof, k=k)
     fld = s.as_field(grid)
     rp = tf.residual_Pi(fld)
     rg = tf.residual_Gamma(tf.to_eta(fld))

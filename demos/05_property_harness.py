@@ -52,7 +52,7 @@ print(f"synthetic violation detected: {not bad_rep.passed} "
 print("\n== jet improvement of a failed super-solution ==")
 g2 = build_grid(Domain.box([(-1, 1), (-1, 1)]), 0.2, 1.0, 6)
 jet = (0.0, np.array([1.0, 0.0]), np.diag([2.0, 1.0]))
-rep = H.check_bump_improvement(jet, 1.0, theta=0.5, r=0.4, grid=g2)
+rep = H.check_bump_improvement(jet, 1.0, grid=g2)
 print(f"margin mu={rep.details['mu']}, improvement at anchor "
       f"{rep.details['improvement']:.2e}, seam jet value "
       f"{rep.details['seam_jet_value']:.2e}: "

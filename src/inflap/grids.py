@@ -9,25 +9,26 @@ to ring neighbors use the projected geometry (Shortley-Weller style,
 clamped away from zero).  Box ring nodes are lattice points, so box arms
 keep their lattice length h |off|; only ball rows can be *irregular*.
 
-The build works on whole lattice arrays.  A ball point is interior when it
-lies inside and all 2n axis neighbours lie in the closure; the ring is the
-set of other points that the full 3^n - 1 stencil of an interior point
-reaches.  Both rules are shifted boolean masks over the lattice, padded by
-one point that counts as outside.  The lattice-shaped array ``node_of``
-holds the node number of each kept point (-1 elsewhere), so a stencil
-column is one gather at the flat indices ``flat_i + offset . strides``.
+The grid has one lattice layout, flat and padded at both ends by the
+stencil span ``sum(strides)``: ``node_flat`` is the flat position of each
+node, ``flat_off`` the flat offset of each stencil column, and
+``lattice()`` puts node values on a fresh such array.  A lattice-edge point
+is never interior, so the flat shift of an interior point by a stencil
+offset is its lattice neighbour and never wraps into another row, and
+twice that offset (the 2h residual pass) stays inside the padding.  The
+build classifies points on that layout: a ball point is interior when it
+lies inside and all 2n axis neighbours lie in the closure, and the ring is
+the set of other points that the full 3^n - 1 stencil of an interior point
+reaches, each rule a few shifted slices of a padded mask.  It then walks
+the stencil one column at a time through a node lookup over the layout,
+the one ``nbr_index`` reads too, and keeps only a ball's irregular rows,
+their arms and the shortest arm per row, ``dmin``.
 
-The grid keeps that lattice flat for every stencil read: ``node_flat`` is
-the flat lattice position of each node and ``flat_off`` the flat offset of
-each stencil column.  The flat lattice is padded at both ends by the
-stencil span ``sum(strides)``, so that slices at twice a stencil offset
-(the 2h residual pass) stay inside the array; ``lattice()`` puts node
-values on a fresh such array.  The interior nodes lie in the flat range
-[lo, hi) (at ``interior_pos`` in it), and on a flat array of lattice
-values stencil column k of that range is the contiguous slice
-[lo + flat_off[k], hi + flat_off[k]).  The range also holds ring and
-off-domain points; the readers keep their results only at
-``interior_pos``.  Two reductions read that layout: stencil_extremes,
+The interior nodes lie in the flat range [lo, hi) (at ``interior_pos`` in
+it), and on a flat array of lattice values stencil column k of that range
+is the contiguous slice [lo + flat_off[k], hi + flat_off[k]).  The range
+also holds ring and off-domain points; the readers keep their results only
+at ``interior_pos``.  Two reductions read that layout: stencil_extremes,
 per axis set, for the solver's kernel, and ``box_reduce``, the max or min
 over the 3^n box around each interior row, for the envelope sweeps and for
 ``inner_rows`` (the rows whose whole stencil is interior, where the
@@ -35,15 +36,13 @@ residuals take their 2h pass and balls their clean rows).  The two are
 separate so that the kernel's stencil can change without moving either.
 The stencil's columns run by distance class, shortest first: that order
 is the kernel's tie rule (see solver).  The kernel's special rows read
-tables built once: ``column_base = flat_off + lo``; the stencil positions
-``irregular_flat`` and arm lengths ``irregular_arms`` of the
-``irregular_rows`` as (n_irr, K) row-major tables; and the arm lengths to
-the power 4/3 (``arm_lengths43``, ``dmin43``).  The build walks the
-stencil one column at a time and keeps only the irregular rows, their arms
-and the shortest arm per row, ``dmin``.  The (Ni, K) neighbour tables
-``nbr_index`` and ``nbr_dist`` are not kept: the grid computes them from
-that record on first access, for tests and probes, and no module here
-reads them.
+``column_base = flat_off + lo``, the stencil positions ``irregular_flat``
+and arm lengths ``irregular_arms`` of the ``irregular_rows`` as
+(n_irr, K) row-major tables, and ``arm_lengths(rows)``, any rows' arms
+from one row-major table: the irregular arms, then the lattice lengths
+h |off| as its last row.  The (Ni, K) neighbour tables ``nbr_index`` and
+``nbr_dist`` are not kept: the grid computes them from that record on
+first access, for tests and probes, and no module here reads them.
 
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Its
 parabolic boundary P_T is ``pt_mask``, an (N, L) bool: the initial slab
@@ -193,20 +192,17 @@ class CylinderGrid:
     Read-only after construction.  Boundary ("ring") nodes carry
     prescribed values at their projected sample positions; every interior
     node has a full 3^n - 1 stencil whose entries are interior or ring
-    nodes.  Stencils are read from flat arrays of lattice values, padded
-    by the stencil span at both ends, that ``lattice()`` fills through
-    ``node_flat``; ``flat_off`` and the fields derived from it give the
-    interior range ``[lo, hi)`` with ``interior_pos``, the axis
-    ``strides`` and ``stencil_classes`` (see the module docstring,
-    stencil_extremes and box_reduce).  The shortest arm per row is
-    ``dmin``; ``column_base``, the ``irregular_rows``' tables
-    ``irregular_flat`` and ``irregular_arms``, and ``arm_lengths43`` and
-    ``dmin43`` serve the kernel's special rows (module docstring).
-    The geometry of the cylinder is computed once here: ``pt_mask``, the
-    (N, L) membership in P_T, and ``inner_rows``, the interior rows whose
-    whole stencil is interior.  The (Ni, K) neighbor tables ``nbr_index``
-    and ``nbr_dist``, in Fortran order, are computed on first access for
-    tests and probes; the grid does not hold them otherwise.
+    nodes.  Stencils are read from the one flat lattice layout (module
+    docstring) of ``lattice_size`` points, through ``node_flat`` and
+    ``flat_off``; derived from them are the interior range ``[lo, hi)``
+    with ``interior_pos``, the axis ``strides``, the columns
+    ``axis_columns`` of +e_i and -e_i, and ``stencil_classes``.  The
+    kernel's special rows read ``dmin``, ``column_base``, the
+    ``irregular_rows``' tables ``irregular_flat`` and ``irregular_arms``,
+    and ``arm_lengths(rows)``.  ``pt_mask``, the (N, L) membership in P_T,
+    and ``inner_rows``, the interior rows whose whole stencil is interior,
+    are computed once here; the (Ni, K) tables ``nbr_index`` and
+    ``nbr_dist``, in Fortran order, on first access only.
     """
 
     domain: Domain
@@ -241,23 +237,15 @@ class CylinderGrid:
     def nbr_index(self):
         """(Ni, K) node index of every stencil arm of every interior row,
         in F order."""
-        node_at = np.full(self.lattice_size, -1, dtype=np.int64)
-        node_at[self.node_flat] = np.arange(self.n_nodes)
+        node_at = _node_at(self.node_flat, self.lattice_size)
         return node_at[self.column_base[:, None] + self.interior_pos].T
 
     @functools.cached_property
     def nbr_dist(self):
         """(Ni, K) length of every stencil arm of every interior row, in F
         order: h |off|, or the irregular rows' arms."""
-        lat = self.h * np.linalg.norm(self.offsets, axis=-1)
-        dist = np.repeat(lat[:, None], self.interior_idx.size, axis=1)
-        dist[:, self.irregular_rows] = self.irregular_arms.T
-        return dist.T
-
-    def offset_column(self, offset):
-        """Column index in the neighbor table of a canonical offset."""
-        key = tuple(int(v) for v in offset)
-        return self._offset_lookup[key]
+        return np.asfortranarray(
+            self.arm_lengths(np.arange(self.interior_idx.size)))
 
     def stencil_extremes(self, lat):
         """Max and min of the stencil values per axis set, from the flat
@@ -304,22 +292,22 @@ class CylinderGrid:
             box = op(op(box[:n], box[s:s + n]), box[2 * s:])
         return box[self.interior_pos]
 
-    def arm_lengths43(self, rows):
-        """(K, len(rows)) arm lengths of the interior rows ``rows`` to the
-        power 4/3: of the lattice length h |off| of each column, or of the
-        projected distances of an irregular row; from a table built once."""
-        return self._arm_table43[:, self._arm_column[rows]]
+    def arm_lengths(self, rows):
+        """(len(rows), K) row-major arm lengths of the interior rows
+        ``rows``: an irregular row's projected distances, any other row's
+        lattice lengths h |off| (the last row of the table)."""
+        i = self.irregular_rows.searchsorted(rows)
+        i[self._arm_rows[i] != rows] = self.irregular_rows.size
+        return self._arm_table[i]
 
     def __post_init__(self):
-        self._offset_lookup = {
-            tuple(int(v) for v in off): k for k, off in enumerate(self.offsets)
-        }
         self.interior_idx = np.flatnonzero(self.interior_mask)
         self.boundary_idx = np.flatnonzero(~self.interior_mask)
-        # neighbor-table columns of +e_i and of -e_i, one per axis
-        axes = np.eye(self.dim, dtype=int)
-        self.axis_columns = ([self.offset_column(e) for e in axes],
-                             [self.offset_column(-e) for e in axes])
+        # stencil columns of +e_i and of -e_i, one per axis
+        axes = np.eye(self.dim, dtype=int)[:, None]
+        self.axis_columns = tuple(
+            (self.offsets == e).all(-1).argmax(1).tolist()
+            for e in (axes, -axes))
         # the interior range [lo, hi) of the lattice and the position in it
         # of every interior row
         int_pos = self.node_flat[self.interior_idx]
@@ -354,13 +342,10 @@ class CylinderGrid:
         self.column_base = self.flat_off + self.lo
         self.irregular_flat = (self.interior_pos[irr, None]
                                + self.column_base)
-        # arm_lengths43 reads a row's column of the irregular arms, or the
-        # lengths h |off| appended as the last column, to the power 4/3
-        self._arm_table43 = np.column_stack(
-            (self.irregular_arms.T, lat)) ** (4.0 / 3.0)
-        self._arm_column = np.full(self.interior_idx.size, irr.size)
-        self._arm_column[irr] = np.arange(irr.size)
-        self.dmin43 = self.dmin ** (4.0 / 3.0)
+        # the rows of arm_lengths' table: the irregular rows' arms, then the
+        # lattice lengths h |off|, with the interior row of each (-1 last)
+        self._arm_table = np.vstack((self.irregular_arms, lat))
+        self._arm_rows = np.append(irr, -1)
         # the rows whose 3^n box holds interior nodes only
         inside = np.zeros(self.lattice_size, dtype=bool)
         inside[int_pos] = True
@@ -372,11 +357,12 @@ class CylinderGrid:
         self.pt_mask[self.boundary_idx] |= self.t < self.T * (1.0 - 1e-12)
 
 
-def _shifted(padded, off):
-    """View of a lattice array padded by one point per side holding, at
-    each point z of the unpadded lattice, the entry of z + off."""
-    return padded[tuple(slice(1 + o, s - 1 + o)
-                        for o, s in zip(off, padded.shape))]
+def _node_at(node_flat, size):
+    """Node number at each point of a flat lattice of ``size`` points, -1
+    at the points that are not nodes."""
+    node_at = np.full(size, -1, dtype=np.int64)
+    node_at[node_flat] = np.arange(node_flat.size)
+    return node_at
 
 
 def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
@@ -396,11 +382,19 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
         raise GridConfigError("need at least 2 time levels")
     n = domain.dim
     offsets = _stencil_offsets(n)
-    core = (slice(1, -1),) * n
+    ball = domain.kind == "ball"
 
-    if domain.kind in ("interval", "box"):
+    # the lattice: origin + h * index, index from first to first + shape - 1
+    if ball:
+        origin, R = domain.bounds
+        if 2.0 * R / h < min_interior_per_axis + 1:
+            raise GridConfigError(
+                f"degenerate ball grid: 2R/h = {2 * R / h:.3g} too small"
+            )
+        K = int(np.ceil(R / h)) + 1
+        first, shape = -K, (2 * K + 1,) * n
+    else:
         counts = []
-        axes = []
         for a, b in domain.bounds:
             steps = (b - a) / h
             m = round(steps)
@@ -409,79 +403,65 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
                     f"spacing {h} does not tile [{a}, {b}] evenly"
                 )
             counts.append(m)
-            axes.append(a + h * np.arange(m + 1))
         if min(counts) - 1 < min_interior_per_axis:
             raise GridConfigError(
                 f"degenerate grid: {min(counts) - 1} interior nodes per axis, "
                 f"need {min_interior_per_axis}"
             )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pos = np.stack([m.ravel() for m in mesh], axis=-1)
-        shape = tuple(m + 1 for m in counts)
-        interior = np.zeros(shape, dtype=bool)
-        interior[core] = True
-        interior = interior.ravel()
-        keep = np.ones(interior.size, dtype=bool)
-        sample_pos = pos.copy()
-    else:  # ball
-        c, R = domain.bounds
-        if 2.0 * R / h < min_interior_per_axis + 1:
-            raise GridConfigError(
-                f"degenerate ball grid: 2R/h = {2 * R / h:.3g} too small"
-            )
-        K = int(np.ceil(R / h)) + 1
-        shape = (2 * K + 1,) * n
-        mesh = np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")
-        lat = np.stack([m.ravel() for m in mesh], axis=-1)
-        xyz = np.asarray(c) + h * lat
-        r = np.linalg.norm(xyz - np.asarray(c), axis=-1)
-        # points off the lattice count as outside the closure
-        closure = np.pad((r <= R * (1 + 1e-12)).reshape(shape), 1)
-        interior_all = (r < R * (1 - 1e-12)).reshape(shape)
-        for e in np.eye(n, dtype=int):
-            interior_all = (interior_all & _shifted(closure, e)
-                            & _shifted(closure, -e))
-        padded = np.pad(interior_all, 1)
-        reached = np.zeros(shape, dtype=bool)
-        for off in offsets:
-            reached |= _shifted(padded, -off)
-        keep = (interior_all | reached).ravel()
-        pos = xyz[keep]
-        interior = interior_all.ravel()[keep]
-        sample_pos = pos.copy()
-        sample_pos[~interior] = domain.project_to_boundary(pos[~interior])
+        origin = [a for a, _ in domain.bounds]
+        first, shape = 0, tuple(m + 1 for m in counts)
+    index = np.stack([m.ravel() for m in np.meshgrid(
+        *(np.arange(first, first + s) for s in shape), indexing="ij")], -1)
+    pos = np.asarray(origin) + h * index
 
+    # the flat lattice, padded by the stencil span at both ends: a
+    # lattice-edge point is never interior, so the flat shift of an interior
+    # point by a stencil offset is its lattice neighbour, never a point of
+    # another row, and twice that offset stays inside the padded array
+    size = len(pos)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    span = int(strides.sum())
+    flat_off = offsets @ strides
+    if ball:
+        # interior: inside, with all 2n axis neighbours in the closure; the
+        # ring: the other points that an interior stencil reaches
+        r = np.linalg.norm(pos - np.asarray(origin), axis=-1)
+        interior = r < R * (1 - 1e-12)
+        closure = np.pad(r <= R * (1 + 1e-12), span)
+        for s in strides:
+            interior &= (closure[span + s:][:size]
+                         & closure[span - s:][:size])
+        padded = np.pad(interior, span)
+        keep = interior.copy()
+        for off in flat_off:
+            keep |= padded[span - off:][:size]
+    else:
+        interior = np.all((index > 0) & (index < np.array(shape) - 1),
+                          axis=-1)
+        keep = np.ones(size, dtype=bool)
+    node_flat = np.flatnonzero(keep) + span
+    pos, interior = pos[keep], interior[keep]
     if not np.any(interior):
         raise GridConfigError("grid has no interior nodes")
+    sample_pos = pos.copy()
 
-    # node number at kept lattice points, -1 elsewhere and on a one-point
-    # pad, so that the flat index of z + off never wraps to another row
-    node_of = np.full(tuple(s + 2 for s in shape), -1, dtype=np.int64)
-    node_of[core][keep.reshape(shape)] = np.arange(keep.sum())
-    pad_off = offsets @ (np.array(node_of.strides) // node_of.itemsize)
-    node_of = node_of.ravel()
-    int_ids = np.flatnonzero(interior)
-    flat_i = np.flatnonzero(node_of >= 0)[int_ids]
-    # one stencil column at a time: every arm must reach a node, and a
-    # ball's ring arms are collected in (column, row) order
-    ring = []
-    for k, off in enumerate(pad_off):
-        nbr = node_of[flat_i + off]
-        if np.any(nbr < 0):
-            raise GridConfigError(
-                "internal error: interior node with incomplete stencil"
-            )
-        if domain.kind == "ball":
-            row = np.flatnonzero(~interior[nbr])
-            ring.append((np.full(row.size, k), row, nbr[row]))
     lat_dist = h * np.linalg.norm(offsets, axis=-1)
+    int_ids = np.flatnonzero(interior)
     dmin = np.full(int_ids.size, lat_dist.min())
     irr = np.zeros(0, dtype=np.intp)
     arms = np.zeros((0, len(offsets)))
-    if ring:
-        # ring arms: projected distance, clamped to [0.4 h, 1.5 |off| h];
-        # the row dot is the one np.linalg.norm takes on a single vector,
-        # taken over all arms at once
+    if ball:
+        sample_pos[~interior] = domain.project_to_boundary(pos[~interior])
+        # the ring arms, one stencil column at a time in (column, row)
+        # order: projected distance, clamped to [0.4 h, 1.5 |off| h]; the
+        # row dot is the one np.linalg.norm takes on a single vector, taken
+        # over all arms at once
+        node_at = _node_at(node_flat, size + 2 * span)
+        int_flat, ring = node_flat[int_ids], []
+        for k, off in enumerate(flat_off):
+            nbr = node_at[int_flat + off]
+            row = np.flatnonzero(~interior[nbr])
+            ring.append((np.full(row.size, k), row, nbr[row]))
         k, row, nbr = (np.concatenate(a) for a in zip(*ring))
         diff = sample_pos[nbr] - pos[int_ids[row]]
         d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
@@ -493,20 +473,13 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
         arms[np.searchsorted(irr, row[mine]), k[mine]] = d[mine]
         dmin[irr] = arms.min(axis=1)
 
-    # the stencil reads use the lattice without the one-point pad, flat and
-    # padded by the stencil span at both ends: the stencil of an interior
-    # node stays inside the lattice, so its flat offsets never wrap, and
-    # twice those offsets stay inside the padded array
-    lat_strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    span = int(lat_strides.sum())
     t = np.linspace(0.0, T, time_levels)
     return CylinderGrid(
         domain=domain, h=h, T=T, time_levels=int(time_levels),
         pos=pos, sample_pos=sample_pos, interior_mask=interior,
         irregular_rows=irr, irregular_arms=arms, dmin=dmin,
-        offsets=offsets, t=t,
-        node_flat=np.flatnonzero(keep) + span, flat_off=offsets @ lat_strides,
-        lattice_size=keep.size + 2 * span,
+        offsets=offsets, t=t, node_flat=node_flat, flat_off=flat_off,
+        lattice_size=size + 2 * span,
     )
 
 

@@ -320,12 +320,12 @@ def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
 # bump improvement (Perron sup is a super-solution)
 # ---------------------------------------------------------------------------
 
-def check_bump_improvement(jet, w0, theta=0.5, r=0.4, grid=None):
+def check_bump_improvement(jet, w0, grid=None):
     """For a jet violating the super-solution inequality (margin mu > 0),
-    the quadratic bump at the origin (nu = 0.01) strictly improves the host
-    at the anchor and agrees with it outside D_(r,r); the improvement stays
-    a sub-solution at the max seam (numeric jet test when a grid is
-    supplied)."""
+    the quadratic bump at the origin and time theta = 0.5 (nu = 0.01)
+    strictly improves the host at the anchor and agrees with it outside
+    D_(r,r), r = 0.4; the improvement stays a sub-solution at the max seam
+    (numeric jet test when a grid is supplied)."""
     a, p, X = jet
     p = np.atleast_1d(np.asarray(p, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -334,7 +334,7 @@ def check_bump_improvement(jet, w0, theta=0.5, r=0.4, grid=None):
         return _make("bump_improvement", 0.0, 0.0, 0, vacuous=True,
                      skipped=f"jet margin mu={mu:.3g} <= 0 (no admissible "
                      "violation)")
-    nu = 0.01
+    theta, r, nu = 0.5, 0.4, 0.01
     z = np.zeros(p.size)
     delta = min(mu / 4.0, r * r / 32.0 * nu)
     bump = bar.make_exist13_bump(z, theta, (a, p, X), w0, delta, nu)

@@ -7,9 +7,10 @@ log variable eta = log(phi),
 
 positivity of phi is automatic and the equation has bounded coefficients
 when phi stays away from 0.  In phi mode the degenerate 3 phi^2 factor is
-lagged at the current level, which is the right variable for decay
-experiments with (near-)zero lateral data: there phi is linear near the
-boundary while eta is log-singular.
+lagged at the current level.  Decay experiments with zero lateral data
+(BoundaryData.zero_lateral_ok) need phi mode: there phi is linear near
+the boundary while eta is log-singular, so solve() raises SolverError for
+such data in eta mode.
 
 The second-order term uses the wide-stencil min/max form: with slopes
 s_k = (v_k - v_c) / d_k over the 3^n - 1 axis-and-diagonal neighbors,
@@ -48,9 +49,9 @@ quartic sensitivity 4 Q^3 / d_min.
 
 Zero-boundary (decay) runs are degenerate: the effective diffusivity
 (|D phi| / phi)^2 grows like 1/dist^2 near the boundary and an explicit
-scheme would need dt ~ h^4.  For zero-lateral data only
-(BoundaryData.zero_lateral_ok) the gradient cap clips the effective
-log-gradient at SolverConfig.auto_cap_scale / sqrt(h) = 0.6 / sqrt(h),
+scheme would need dt ~ h^4.  For zero-lateral data only, so in phi mode
+only, the gradient cap clips the effective log-gradient |D phi| / phi at
+SolverConfig.auto_cap_scale / sqrt(h) = 0.6 / sqrt(h),
 which caps the diffusivity in an O(sqrt(h)) boundary collar and restores
 dt ~ h^3; the collar error vanishes under refinement and is measured
 directly against the exact separable solutions in the acceptance suite.
@@ -75,9 +76,11 @@ first (see grids), so the argmax form's first-column rule is the same.
 Irregular (ball ring) rows are redone in that form; extremum rows take
 the cusp branch, a max over all arms.  Each pass runs only when it has
 rows, on an (n, K) row-major block of lat[position + flat_off], so that
-the reductions run along the contiguous axis.  The grid builds their
-tables once: the irregular rows' stencil positions and arm lengths in that
-layout, and the arm lengths and shortest arms to the power 4/3.
+the reductions run along the contiguous axis.  The grid builds the
+irregular rows' stencil positions and arm lengths in that layout once; the
+cusp pass reads its rows' arm lengths from the grid's one row-major arm
+table and raises them and its rows' shortest arms to the power 4/3 itself
+(there is about one extremum row per step on a smooth solve).
 solve() marches the interior values and writes them and the ring data
 back to the lattice array once per step.
 """
@@ -235,10 +238,10 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
         sign = np.where(sm[r] >= 0.0, 1.0, -1.0)
         q = lat[grid.interior_pos[r, None] + grid.column_base]
         q -= c[r, None]
-        q /= grid.arm_lengths43(r).T
+        q /= grid.arm_lengths(r) ** (4.0 / 3.0)
         cusp_c = np.maximum((sign[:, None] * q).max(1), 0.0)
         dinf[r] = sign * CUSP * cusp_c ** 3
-        coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin43[r]
+        coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin[r] ** (4.0 / 3.0)
     return dinf, g, coef_c, axis_up
 
 
@@ -258,11 +261,11 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
     in phi mode (see below).  With coef_c from _lattice_parts,
     eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
     phi mode:  coef = coef_c / (3 max(phi, floor)^2),
-    where the gradient cap, on zero-lateral data, scales coef_c down and
-    clips Q.  The phi-mode coef leaves out the 2 rhs / phi of the lagged
-    1 / phi^2: where rhs > 0 and the cap does not bind, it is no bound.
+    where the gradient cap, which only phi mode takes (zero-lateral data),
+    scales dinf and coef down.  The phi-mode coef leaves out the 2 rhs / phi
+    of the lagged 1 / phi^2: where rhs > 0 and the cap does not bind, it is
+    no bound.
     """
-    tiny = 1e-300
     eta = config.variable == "eta"
     dinf, g, coef_c, axis_up = _lattice_parts(grid, lat, c, upwind=eta,
                                               grad=cap is not None)
@@ -275,15 +278,6 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
         q2 = axis_up[0]
         for up in axis_up[1:]:
             q2 += up
-        if cap is not None:
-            scale = np.maximum(g, tiny, out=g)
-            np.divide(cap, scale, out=scale)
-            np.minimum(scale, 1.0, out=scale)
-            dinf *= scale
-            dinf *= scale
-            coef_c *= scale
-            coef_c *= scale
-            np.minimum(q2, cap * cap, out=q2)
         q3 = np.sqrt(q2)
         q3 *= q2
         dinf += np.square(q2, out=q2)
@@ -298,7 +292,7 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
     np.divide(1.0, fac, out=fac)
     if cap is not None:
         shrink = np.divide(g, phi_safe, out=g)
-        np.maximum(shrink, tiny, out=shrink)
+        np.maximum(shrink, 1e-300, out=shrink)
         np.divide(cap, shrink, out=shrink)
         np.minimum(shrink, 1.0, out=shrink)
         fac *= shrink
@@ -321,7 +315,9 @@ def discrete_infinity_laplacian(grid, vals):
 
 def _rhs_and_coef(grid, vals, config, cap):
     """_lattice_rhs_coef for node values vals: returns (rhs, coef) over the
-    interior rows."""
+    interior rows.  Raises ValueError for a cap in eta mode."""
+    if cap is not None and config.variable == "eta":
+        raise ValueError("the gradient cap applies in phi mode only")
     return _lattice_rhs_coef(grid, grid.lattice(vals),
                              vals[grid.interior_idx], config, cap)
 
@@ -354,6 +350,10 @@ def solve(grid, bd, config=None):
     SolverConfig.max_steps substeps.
     """
     config = config or SolverConfig()
+    if config.variable == "eta" and bd.zero_lateral_ok:
+        raise SolverError(
+            "zero-lateral data needs variable='phi': eta = log phi is "
+            "singular where phi vanishes")
     hfield = sample_boundary_data(bd, grid)   # validated once per grid
     cap = _resolve_cap(grid, bd, config)
 

@@ -272,27 +272,25 @@ class SeparableSolution:
                          {"separable_k": self.k, "lam": self.lam})
 
 
-def make_separable(spatial, k=None, g=None, gprime=None, lam=None,
-                   center=None):
+def make_separable(spatial, k=None, g=None, gprime=None, lam=None):
     """Build phi(x,t) = u(x) g(t) from a radial profile or a callable u.
 
-    ``spatial`` is a RadialProfile (its equation parameter is read off,
-    with the sign convention D_inf(u) + lam u^3 = 0, so a growing profile
-    contributes lam = -profile.lam) or a callable x -> u(x) with ``lam``
-    given.  If ``g`` is omitted, g(t) = e^{kt}.  With g given, supply its
-    derivative ``gprime``; no classification is recorded in that case.
+    ``spatial`` is a RadialProfile centred at the origin (its equation
+    parameter is read off, with the sign convention D_inf(u) + lam u^3 = 0,
+    so a growing profile contributes lam = -profile.lam) or a callable
+    x -> u(x) with ``lam`` given.  If ``g`` is omitted, g(t) = e^{kt}.
+    With g given, supply its derivative ``gprime``; no classification is
+    recorded in that case.
     """
     from .radial import RadialProfile
 
     if isinstance(spatial, RadialProfile):
         prof = spatial
         lam_eff = prof.lam if prof.kind == "eigen_decaying" else -prof.lam
-        ctr = np.zeros(1) if center is None else np.atleast_1d(
-            np.asarray(center, dtype=float))
 
         def u_of_x(x):
             x = np.atleast_2d(np.asarray(x, dtype=float))
-            r = np.linalg.norm(x - ctr, axis=-1)
+            r = np.linalg.norm(x, axis=-1)
             return prof.eval(np.minimum(r, prof.R))
 
         spatial_fn = u_of_x

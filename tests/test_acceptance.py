@@ -385,7 +385,7 @@ def test_criterion_11_minm_bump_instrument():
 def test_criterion_12_bump_improvement():
     g = build_grid(Domain.box([(-1, 1), (-1, 1)]), 0.2, 1.0, 6)
     jet = (0.0, np.array([1.0, 0.0]), np.diag([2.0, 1.0]))
-    rep = H.check_bump_improvement(jet, 1.0, theta=0.5, r=0.4, grid=g)
+    rep = H.check_bump_improvement(jet, 1.0, grid=g)
     ok = (rep.passed and rep.details["mu"] == 2.0
           and rep.details["improvement"] > 0.0)
     record(12, "jet improvement bump: mu=2, strict gain at anchor, "

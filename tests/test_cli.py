@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inflap import cli
+from inflap import cli, radial
 from inflap.catalog import catalog_entries, make_data
 from inflap.grids import Domain, build_grid, sample_boundary_data
 
@@ -144,6 +144,39 @@ class TestRunner:
             assert problem in capsys.readouterr().err
         # no partial artifact tree with a summary is produced
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_eta_on_zero_lateral_data_exit_2(self, tmp_path, capsys):
+        # eta = log phi cannot march zero lateral data: a run failure
+        cfg = self.write_cfg(tmp_path, {
+            "experiment": "decay",
+            "grid": {"h": 0.1, "T": 0.5, "time_levels": 11},
+            "solver": {"variable": "eta", "summarize_residual": False},
+            "out_dir": str(tmp_path / "out")})
+        assert cli.run(cfg) == 2
+        assert "run failed: zero-lateral data needs variable='phi'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_decay_target_independent_of_axis_order(self, tmp_path):
+        # a box and its transpose decay alike, and both are held to the
+        # rate of the ball around them
+        reps = []
+        for name, bounds in (("wide", [[-1.0, 1.0], [-0.5, 0.5]]),
+                             ("tall", [[-0.5, 0.5], [-1.0, 1.0]])):
+            cfg = self.write_cfg(tmp_path, {
+                "experiment": "decay",
+                "domain": {"kind": "box", "bounds": bounds},
+                "grid": {"h": 0.1, "T": 2.0},
+                "data": {"name": "decaying-lateral", "params": {"rate": 5.0}},
+                "out_dir": str(tmp_path / name)})
+            assert cli.run(cfg) == 0
+            reps.append(json.loads((tmp_path / name / "reports" /
+                                    "decay_rate.json").read_text()))
+        wide, tall = (r["details"] for r in reps)
+        assert wide["target"] == tall["target"] == pytest.approx(
+            -radial.ball_eigenvalue(0.5 * np.sqrt(5.0)) / 3.0, rel=1e-12)
+        assert wide["slope"] == tall["slope"]
+        assert reps[0]["passed"] and reps[1]["passed"]
 
     def test_error_inside_an_experiment_propagates(self, tmp_path,
                                                    monkeypatch):

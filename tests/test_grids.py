@@ -363,10 +363,9 @@ def test_arm_lengths_classes_and_irregular_rows(name):
         assert np.all(g.nbr_dist == lat) and g.irregular_rows.size == 0
     assert g.irregular_arms.flags.c_contiguous
     assert np.array_equal(g.irregular_arms, g.nbr_dist[g.irregular_rows])
-    # arm_lengths43 gives any rows' arms, irregular or not, in any order
+    # arm_lengths gives any rows' arms, irregular or not, in any order
     rows = np.r_[g.irregular_rows[::-1], np.arange(0, g.interior_idx.size, 7)]
-    assert np.array_equal(g.arm_lengths43(rows),
-                          g.nbr_dist[rows].T ** (4.0 / 3.0))
+    assert np.array_equal(g.arm_lengths(rows), g.nbr_dist[rows])
     # the columns run by distance class, so the arms of a regular row never
     # shorten along them: the kernel's tie rule rests on this order
     regular = np.setdiff1d(np.arange(g.interior_idx.size), g.irregular_rows)
@@ -404,9 +403,12 @@ def test_special_row_tables(name):
     assert np.array_equal(g.irregular_flat,
                           position[irr, None] + g.flat_off)
     assert np.array_equal(g.irregular_arms, g.nbr_dist[irr])
-    assert np.array_equal(g.arm_lengths43(rows),
-                          g.nbr_dist[rows].T ** (4.0 / 3.0))
-    assert np.array_equal(g.dmin43, g.dmin ** (4.0 / 3.0))
+    plus, minus = g.axis_columns
+    assert np.array_equal(g.offsets[plus], np.eye(dom.dim, dtype=int))
+    assert np.array_equal(g.offsets[minus], -np.eye(dom.dim, dtype=int))
+    assert g.arm_lengths(rows).flags.c_contiguous
+    assert np.array_equal(g.arm_lengths(rows), g.nbr_dist)
+    assert np.array_equal(g.dmin, g.nbr_dist.min(axis=1))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))

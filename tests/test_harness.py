@@ -262,8 +262,7 @@ class TestBumpImprovement:
     def test_seeded_jet(self):
         g = build_grid(Domain.box([(-1, 1), (-1, 1)]), 0.2, 1.0, 6)
         jet = (0.0, np.array([1.0, 0.0]), np.diag([2.0, 1.0]))
-        rep = H.check_bump_improvement(jet, 1.0, theta=0.5, r=0.4,
-                                       grid=g)
+        rep = H.check_bump_improvement(jet, 1.0, grid=g)
         assert rep.passed
         assert rep.details["mu"] == 2.0
         assert rep.details["improvement"] > 0.0

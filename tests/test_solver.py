@@ -115,7 +115,7 @@ class TestExactness:
 
     def test_growing_separable_tracks_exact(self):
         prof = radial.growing_profile(1.0, 1.0, 1.0)
-        sep = transforms.make_separable(prof, k=1.0 / 3.0, center=(0.0,))
+        sep = transforms.make_separable(prof, k=1.0 / 3.0)
         g = build_grid(Domain.interval(-1, 1), 0.05, 0.4, 9)
         bd = BoundaryData(
             f=lambda x: prof.eval(np.minimum(np.abs(x[:, 0]), 1.0)),
@@ -244,6 +244,22 @@ class TestErrors:
                           g=lambda x, t: -np.ones(len(x)))
         with pytest.raises(Exception):
             solver.solve(g, bd)
+
+    def test_eta_rejects_zero_lateral_data(self):
+        # log phi is singular at a zero lateral datum: an eta march of it
+        # is off by ~0.92 with positivity_ok set, so eta mode refuses it
+        psi = radial.decaying_profile(1.0, LAMBDA_B1, 1.0, fixed_which="m")
+        for dom in (Domain.interval(-1, 1), Domain.ball((0.0, 0.0), 1.0)):
+            g = build_grid(dom, 0.1, 0.5, 6)
+            with pytest.raises(solver.SolverError, match="variable='phi'"):
+                solver.solve(g, eigen_bd(psi), solver.SolverConfig())
+            res = solver.solve(g, eigen_bd(psi), solver.SolverConfig(
+                variable="phi", summarize_residual=False))
+            assert res.field.meta["grad_cap"] is not None
+        # the gradient cap is phi-only
+        vals = np.log(1.0 + 0.5 * g.sample_pos[:, 0] ** 2)
+        with pytest.raises(ValueError, match="phi mode only"):
+            solver.cfl_dt(g, vals, solver.SolverConfig(), cap=1.0)
 
     def test_max_steps_guard(self, monkeypatch):
         psi = radial.decaying_profile(1.0, LAMBDA_B1, 1.0, fixed_which="m")
@@ -409,13 +425,14 @@ KERNEL_GRIDS = {
 
 @st.composite
 def kernel_inputs(draw):
-    """(grid, config, field in the solved variable, gradient cap)."""
+    """(grid, config, field in the solved variable, gradient cap); the cap
+    only in phi mode, the one mode that takes it."""
     g = KERNEL_GRIDS[draw(st.sampled_from(sorted(KERNEL_GRIDS)))]
     variable = draw(st.sampled_from(["eta", "phi"]))
     phi = draw(hnp.arrays(float, g.n_nodes, elements=st.floats(0.2, 3.0),
                           fill=st.nothing()))   # every node drawn
     vals = np.log(phi) if variable == "eta" else phi
-    cap = draw(st.none() | st.floats(0.5, 5.0))
+    cap = draw(st.none() | st.floats(0.5, 5.0)) if variable == "phi" else None
     return g, solver.SolverConfig(variable=variable), vals, cap
 
 
@@ -440,9 +457,14 @@ def argmax_reference(grid, vals):
         dinf[sel] = sign * solver.CUSP * cusp ** 3
         coef[sel] = 3.0 * solver.CUSP * cusp ** 2 / dmin43[sel]
     axes = np.eye(grid.dim, dtype=int)
-    pairs = [(slopes[:, grid.offset_column(e)],
-              slopes[:, grid.offset_column(-e)]) for e in axes]
+    pairs = [(slopes[:, column(grid, e)], slopes[:, column(grid, -e)])
+             for e in axes]
     return dinf, g, coef, pairs
+
+
+def column(grid, off):
+    """The stencil column of the offset off."""
+    return int(np.flatnonzero(np.all(grid.offsets == off, axis=1))[0])
 
 
 def assert_kernel_matches_reference(grid, vals):
@@ -513,7 +535,7 @@ def test_kernel_cross_class_tie_and_flat_field(name):
     if g.dim == 3:
         short.append((-1, -1, 0))
     for off in short:
-        k = g.offset_column(off)
+        k = column(g, off)
         assert d[k] < d[-1]
         # the other arms' slopes spread over [-1, 1], in a random order
         rest = np.setdiff1d(np.arange(d.size), np.r_[k, long])

@@ -105,8 +105,9 @@ def _gather_centered(grid, level_vals, spacing, nbr):
     for a in range(n):
         for b in range(a + 1, n):
             e_a, e_b = np.eye(n, dtype=int)[[a, b]]
-            cpp, cmm, cpm, cmp_ = (grid.offset_column(z) for z in
-                                   (e_a + e_b, -e_a - e_b, e_a - e_b, e_b - e_a))
+            cpp, cmm, cpm, cmp_ = (
+                int(np.flatnonzero(np.all(grid.offsets == z, axis=1))[0])
+                for z in (e_a + e_b, -e_a - e_b, e_a - e_b, e_b - e_a))
             h_ab = (level_vals[nbr[:, cpp]] + level_vals[nbr[:, cmm]]
                     - level_vals[nbr[:, cpm]] - level_vals[nbr[:, cmp_]]
                     ) / (4.0 * spacing ** 2)
@@ -210,7 +211,7 @@ class TestSeparable:
 
     def test_eigen_exact_solution_band_and_refinement(self):
         psi = radial.decaying_profile(1.0, LAMBDA_B, 1.0, fixed_which="m")
-        sep = tf.make_separable(psi, k=-LAMBDA_B / 3.0, center=(0.0, 0.0))
+        sep = tf.make_separable(psi, k=-LAMBDA_B / 3.0)
         assert sep.classification == "exact"
         sups = []
         for h, lv in ((0.2, 9), (0.1, 17), (0.05, 33)):
@@ -230,7 +231,7 @@ class TestSeparable:
 
     def test_growing_separable_exact(self):
         prof = radial.growing_profile(1.0, 1.0, 1.0)
-        sep = tf.make_separable(prof, k=1.0 / 3.0, center=(0.0, 0.0))
+        sep = tf.make_separable(prof, k=1.0 / 3.0)
         assert sep.classification == "exact"
         t = 0.4
         x = np.array([[0.3, 0.1]])
@@ -273,7 +274,7 @@ class TestSeparable:
         gfun, gp = gmap[gname]
         prof = radial.decaying_profile(1.0, 0.5 * LAMBDA_B, 1.0,
                                        fixed_which="m")
-        sep = tf.make_separable(prof, g=gfun, gprime=gp, center=(0.0, 0.0))
+        sep = tf.make_separable(prof, g=gfun, gprime=gp)
         grid = ball_grid(h=0.1, T=T, levels=17)
         rep = tf.residual_Pi(sep.as_field(grid))
         closed = np.empty_like(rep.values)
@@ -289,7 +290,7 @@ class TestSeparable:
     def test_as_field_positive_and_tagged(self):
         prof = radial.decaying_profile(1.0, 0.7 * LAMBDA_B, 1.0,
                                        fixed_which="delta")
-        sep = tf.make_separable(prof, k=-prof.lam / 3.0, center=(0.0, 0.0))
+        sep = tf.make_separable(prof, k=-prof.lam / 3.0)
         fld = sep.as_field(ball_grid())
         assert fld.variable_tag == "phi"
         assert np.all(fld.values > 0)
@@ -304,7 +305,7 @@ class TestTransformEquivalence:
                                        fixed_which="m")
         grid = ball_grid(h=0.1, levels=17)
         for k in (-prof.lam / 3.0 - 0.8, -prof.lam / 3.0 + 0.8):
-            sep = tf.make_separable(prof, k=k, center=(0.0, 0.0))
+            sep = tf.make_separable(prof, k=k)
             fld = sep.as_field(grid)
             rp = tf.residual_Pi(fld)
             rg = tf.residual_Gamma(tf.to_eta(fld))
