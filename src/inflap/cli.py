@@ -175,7 +175,8 @@ def _exp_decay(cfg, em, rng):
     em.write_csv("decay_history.csv", "t,sup_phi,log_sup_phi",
                  [(t, s, np.log(s)) for t, s in zip(grid.t, sup_t)])
     field_to_csv(res.field, em.out / "fields" / "decay_field.csv")
-    # run manifest: config hash, grid hash, full dt history
+    # run manifest: config hash, grid hash, full dt history, the record of
+    # the smallest CFL step
     grid_blob = json.dumps(grid_to_json(grid), sort_keys=True).encode()
     run_manifest = {
         "config_sha256": hashlib.sha256(
@@ -184,6 +185,7 @@ def _exp_decay(cfg, em, rng):
         "steps": len(res.dt_history),
         "dt_history": [float(d) for d in res.dt_history],
         "flags": res.flags,
+        "binding": res.binding,
     }
     with open(em.out / "reports" / "solver_run.json", "w") as fh:
         json.dump(run_manifest, fh, indent=1, sort_keys=True)

@@ -38,9 +38,10 @@ The stencil's columns run by distance class, shortest first: that order
 is the kernel's tie rule (see solver).  The kernel's special rows read
 ``column_base = flat_off + lo``, the stencil positions ``irregular_flat``
 and arm lengths ``irregular_arms`` of the ``irregular_rows`` as
-(n_irr, K) row-major tables, and ``arm_lengths(rows)``, any rows' arms
-from one row-major table: the irregular arms, then the lattice lengths
-h |off| as its last row.  The (Ni, K) neighbour tables ``nbr_index`` and
+(n_irr, K) row-major tables with their row starts ``irregular_starts``,
+and ``arm_lengths(rows)``, any rows' arms in one gather from one
+row-major table: the irregular arms, then the lattice lengths h |off| as
+its last row.  The (Ni, K) neighbour tables ``nbr_index`` and
 ``nbr_dist`` are not kept: the grid computes them from that record on
 first access, for tests and probes, and no module here reads them.
 
@@ -198,11 +199,12 @@ class CylinderGrid:
     with ``interior_pos``, the axis ``strides``, the columns
     ``axis_columns`` of +e_i and -e_i, and ``stencil_classes``.  The
     kernel's special rows read ``dmin``, ``column_base``, the
-    ``irregular_rows``' tables ``irregular_flat`` and ``irregular_arms``,
-    and ``arm_lengths(rows)``.  ``pt_mask``, the (N, L) membership in P_T,
-    and ``inner_rows``, the interior rows whose whole stencil is interior,
-    are computed once here; the (Ni, K) tables ``nbr_index`` and
-    ``nbr_dist``, in Fortran order, on first access only.
+    ``irregular_rows``' tables ``irregular_flat`` and ``irregular_arms``
+    with their row starts ``irregular_starts``, and ``arm_lengths(rows)``.
+    ``pt_mask``, the (N, L) membership in P_T, and ``inner_rows``, the
+    interior rows whose whole stencil is interior, are computed once here;
+    the (Ni, K) tables ``nbr_index`` and ``nbr_dist``, in Fortran order,
+    on first access only.
     """
 
     domain: Domain
@@ -296,9 +298,7 @@ class CylinderGrid:
         """(len(rows), K) row-major arm lengths of the interior rows
         ``rows``: an irregular row's projected distances, any other row's
         lattice lengths h |off| (the last row of the table)."""
-        i = self.irregular_rows.searchsorted(rows)
-        i[self._arm_rows[i] != rows] = self.irregular_rows.size
-        return self._arm_table[i]
+        return self._arm_table[self._arm_row[rows]]
 
     def __post_init__(self):
         self.interior_idx = np.flatnonzero(self.interior_mask)
@@ -337,15 +337,18 @@ class CylinderGrid:
               for S in range(1, 2 ** self.dim) if bin(S).count("1") == m])
             for m in range(1, self.dim + 1)]
         # the flat stencil positions of the irregular rows, (n_irr, K)
-        # row-major as their arm lengths
+        # row-major as their arm lengths, and the flat index of each row's
+        # first entry in such a table
         irr = self.irregular_rows
         self.column_base = self.flat_off + self.lo
         self.irregular_flat = (self.interior_pos[irr, None]
                                + self.column_base)
-        # the rows of arm_lengths' table: the irregular rows' arms, then the
-        # lattice lengths h |off|, with the interior row of each (-1 last)
+        self.irregular_starts = np.arange(irr.size) * len(self.offsets)
+        # arm_lengths' table: the irregular rows' arms, then the lattice
+        # lengths h |off|; and the table row of every interior row
         self._arm_table = np.vstack((self.irregular_arms, lat))
-        self._arm_rows = np.append(irr, -1)
+        self._arm_row = np.full(self.interior_idx.size, irr.size)
+        self._arm_row[irr] = np.arange(irr.size)
         # the rows whose 3^n box holds interior nodes only
         inside = np.zeros(self.lattice_size, dtype=bool)
         inside[int_pos] = True

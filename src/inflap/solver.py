@@ -14,50 +14,53 @@ such data in eta mode.
 
 The second-order term uses the wide-stencil min/max form: with slopes
 s_k = (v_k - v_c) / d_k over the 3^n - 1 axis-and-diagonal neighbors,
+s+ = max_k s_k at arm length d+ and s- = min_k s_k at d-,
 
-    gradient   G  = (max_k s_k - min_k s_k) / 2
-    curvature  S2 = 2 (max_k s_k + min_k s_k) / (d_max + d_min)
+    gradient   G  = (s+ - s-) / 2
+    curvature  S2 = 2 (s+ + s-) / (d+ + d-)
     D_inf(v)   ~  G^2 S2        away from discrete local extrema.
 
-At discrete local extrema (max_k s_k <= 0 or min_k s_k >= 0) that form
-degenerates to 0 while the true operator need not vanish: every critical
-point of a solution of this equation carries a universal r^(4/3) profile
-(D_inf of r^alpha is finite and nonzero at the origin only for
-alpha = 4/3), with D_inf -> -(64/81) c^3 for u = u0 - c r^(4/3).  The
-scheme therefore switches to the cusp-consistent monotone value
+At discrete local extrema (s+ <= 0 or s- >= 0) that form degenerates to
+0 while the true operator need not vanish: every critical point of a
+solution of this equation carries a universal r^(4/3) profile (D_inf of
+r^alpha is finite and nonzero at the origin only for alpha = 4/3), with
+D_inf -> -(64/81) c^3 for u = u0 - c r^(4/3).  The scheme therefore
+switches to the cusp-consistent monotone value
 
     D_inf(v) ~ -(64/81) max_k((v_c - v_k)/d_k^(4/3))^3    at maxima
 
 (+ the mirror image at minima).  The per-direction quantity
 (v_c - v_k)/d_k^(4/3) estimates c and is distance-consistent for the
 radial model, non-increasing in each neighbor value, so monotonicity is
-kept; at smooth critical points the value is O(h^2).  The CFL bound
-makes the update non-decreasing in the center value in eta mode.  In phi
-mode it need not: the bound coef_c / (3 phi^2) leaves out the 2 rhs / phi
-that the lagged 1 / phi^2 adds to -d(rhs)/d(phi_c), so where rhs > 0 and
-the gradient cap does not bind, a raised centre value can lower the
-update.  Away from extrema it is non-decreasing in every neighbor value
-only while the one-sided slopes stay within a factor 3 of each other:
-G comes from the same slopes as S2, so G^2 S2 falls as max_k s_k rises
-where 3 max_k s_k + min_k s_k < 0 (and mirrored).  Smooth data at small
-h stays inside that range; random fields do not.  The |D eta|^4 term
-uses the axiswise upwind estimate
+kept; at smooth critical points the value is O(h^2).  Away from extrema
+the update is non-decreasing in every neighbor value only while the
+one-sided slopes stay within a factor 3 of each other: G comes from the
+same slopes as S2, so G^2 S2 falls as s+ rises where 3 s+ + s- < 0 (and
+mirrored).  Smooth data at small h stays inside that range; random
+fields do not.  The |D eta|^4 term uses the axiswise upwind estimate
 Q^2 = sum_i max((v_{+i}-v_c)/d_{+i}, (v_{-i}-v_c)/d_{-i}, 0)^2, which
-is monotone.  Stencil constants in the CFL rule: S = 1 weights the
-second-order coefficient 2 G^2 / d_min^2, and U = sqrt(n) weights the
-quartic sensitivity 4 Q^3 / d_min.
+is monotone.  The CFL coefficient coef bounds -d(rhs)/d(v_c): 2 G^2 /
+(d+ d-) for G^2 S2 (its cusp counterpart at extrema), plus 4 sqrt(n)
+Q^3 / d_min in eta mode, and in phi mode without a cap the 2 max(rhs, 0)
+/ phi that the lagged 1 / phi^2 adds.  dt = cfl / max(coef) keeps the
+update non-decreasing in the centre value as long as the row keeps its
+branch (extremum or not, and its argmax and argmin arms).
 
 Zero-boundary (decay) runs are degenerate: the effective diffusivity
 (|D phi| / phi)^2 grows like 1/dist^2 near the boundary and an explicit
 scheme would need dt ~ h^4.  For zero-lateral data only, so in phi mode
 only, the gradient cap clips the effective log-gradient |D phi| / phi at
-SolverConfig.auto_cap_scale / sqrt(h) = 0.6 / sqrt(h),
-which caps the diffusivity in an O(sqrt(h)) boundary collar and restores
-dt ~ h^3; the collar error vanishes under refinement and is measured
-directly against the exact separable solutions in the acceptance suite.
-Other data runs uncapped.  The step constants are fixed class constants
-of SolverConfig: cfl = 0.9, auto_cap_scale = 0.6, max_steps = 5_000_000
-and positivity_floor = 1e-8.
+SolverConfig.auto_cap_scale / sqrt(h) = 0.6 / sqrt(h), which caps the
+diffusivity in an O(sqrt(h)) boundary collar and restores dt ~ h^3; the
+collar error vanishes under refinement and is measured directly against
+the exact separable solutions in the acceptance suite.  On the unit disk
+the step binds at the first irregular row, at distance h from the
+boundary inside the capped collar, with dt ~ 3.75 h^3.  Each solve
+records its smallest CFL step in SolveResult.binding: the dt and its start
+time, the binding interior row (coef's argmax), its sample position and
+boundary distance, whether it is irregular, and whether the cap scaled it.
+The step constants are fixed class constants of SolverConfig: cfl = 0.9,
+auto_cap_scale = 0.6, max_steps = 5_000_000 and positivity_floor = 1e-8.
 
 One kernel serves the stepper, the CFL rule and the monotone
 discrete_infinity_laplacian.  It reads neighbours from a flat array of
@@ -73,20 +76,22 @@ v_c)/d) bit for bit, as are the min and the eta upwind terms.  On equal
 extreme slopes the shorter arm counts: a longer class takes over only on
 a strictly larger slope, and the stencil's columns run by class, shortest
 first (see grids), so the argmax form's first-column rule is the same.
-Irregular (ball ring) rows are redone in that form; extremum rows take
-the cusp branch, a max over all arms.  Each pass runs only when it has
-rows, on an (n, K) row-major block of lat[position + flat_off], so that
-the reductions run along the contiguous axis.  The grid builds the
-irregular rows' stencil positions and arm lengths in that layout once; the
-cusp pass reads its rows' arm lengths from the grid's one row-major arm
-table and raises them and its rows' shortest arms to the power 4/3 itself
-(there is about one extremum row per step on a smooth solve).
+Irregular (ball ring) rows are redone in that form, and extremum rows
+take the cusp branch, each pass on an (n, K) row-major block of
+lat[position + flat_off] and only when it has rows.  The finishing pass
+forms (s+ - s-)^2, (s+ + s-) / (d+ + d-) and d+ d- once each, so that
+2 D_inf and 2 coef_c come out bit for bit (powers of 2 scale exactly);
+the cusp rows overwrite them.  The constants then fold into one factor
+per row: 1/6 with the Q terms in eta mode, which stays exact, and in
+phi mode min(cap / g, 1 / phi)^2 / 6 (that is shrink^2 / phi^2 / 6),
+which rounds apart from dinf fac / 3 by a few ulps.
 solve() marches the interior values and writes them and the ring data
 back to the lattice array once per step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -144,11 +149,15 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """A solve's field, its substeps and flags, and ``binding``, the
+    record of its smallest CFL step (see the module docstring)."""
+
     field: GridField
     dt_history: list
     residual_summary: Optional[transforms.ResidualReport]
     flags: dict
     config: SolverConfig
+    binding: dict = dataclasses.field(default_factory=dict)
 
     @property
     def grid(self):
@@ -159,15 +168,17 @@ CUSP = 64.0 / 81.0  # D_inf(u0 - c r^(4/3)) -> -(64/81) c^3 at the origin
 
 
 def _lattice_parts(grid, lat, c, upwind=False, grad=True):
-    """The monotone kernel on a flat array of lattice values.
+    """The monotone kernel on a flat array of lattice values, at twice
+    its scale.
 
-    Returns (dinf, g, coef_c, axis_up) over the interior rows, for the
-    neighbour values in lat and the centre values c: the wide-stencil
-    minmax operator with the cusp-consistent branch at discrete local
-    extrema, the gradient magnitude estimate used for diffusivity capping
-    (None unless grad), a per-node bound on -d(dinf)/d(v_c) for the CFL
-    rule, and the upwind slope max((v_{+i} - v_c)/d_{+i},
-    (v_{-i} - v_c)/d_{-i}) of every axis (an empty list unless upwind).
+    Returns (dinf2, g, coef2, axis_up) over the interior rows, for the
+    neighbour values in lat and the centre values c: dinf2 = 2 D_inf, the
+    minmax operator with the cusp branch at discrete local extrema; the
+    gradient estimate g for the cap (None unless grad); coef2 = 2 coef_c,
+    coef_c bounding -d(D_inf)/d(v_c); and the upwind slope
+    max((v_{+i} - v_c)/d_{+i}, (v_{-i} - v_c)/d_{-i}) of every axis (an
+    empty list unless upwind).  The callers fold the exact factor 2 into
+    their own constants.
     """
     rows = grid.interior_pos
     axis_up = []
@@ -183,14 +194,13 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
                 np.maximum(top, a, out=top)
                 np.minimum(bot, b, out=bot)
         top, bot = _slope(top[rows], c, d), _slope(bot[rows], c, d)
-        if sp is None:
-            sp, sm = top, bot
-            dp, dm = np.full(c.shape, d), np.full(c.shape, d)
+        if sp is None:   # the arm lengths stay scalars on one class
+            sp, sm, dp, dm = top, bot, d, d
             continue
         # strict: on equal slopes the shorter class keeps its length
-        np.putmask(dp, top > sp, d)
+        dp = np.where(top > sp, d, dp)
         np.maximum(sp, top, out=sp)
-        np.putmask(dm, bot < sm, d)
+        dm = np.where(bot < sm, d, dm)
         np.minimum(sm, bot, out=sm)
 
     # the irregular rows in argmax form, on their (n, K) row-major block so
@@ -202,47 +212,43 @@ def _lattice_parts(grid, lat, c, upwind=False, grad=True):
         s -= c[r, None]
         s /= dist
         kp, km = s.argmax(1), s.argmin(1)
-        start = np.arange(r.size) * s.shape[1]   # flat index of each row
-        kp += start
-        km += start
+        kp += grid.irregular_starts
+        km += grid.irregular_starts
+        if np.ndim(dp) == 0:
+            dp, dm = np.full(c.shape, dp), np.full(c.shape, dm)
         sp[r], sm[r] = s.take(kp), s.take(km)
         dp[r], dm[r] = dist.take(kp), dist.take(km)
         for u, p, m in zip(axis_up, *grid.axis_columns):
             u[r] = np.maximum(s[:, p], s[:, m])
 
-    # in place from here on (at 20k rows a fresh temporary adds about a
-    # third to the pass that fills it): g = max(sp, -sm, 0), g2 =
-    # (0.5 (sp - sm))^2, dinf = g2 (2 (sp + sm) / (dp + dm)) and coef_c =
-    # 2 g2 / (dp dm), each rounding as written
-    g = None
-    if grad:
-        g = np.negative(sm)
-        np.maximum(sp, g, out=g)
-        np.maximum(g, 0.0, out=g)
-    g2 = np.subtract(sp, sm)
-    g2 *= 0.5
-    np.square(g2, out=g2)
-    dinf = np.add(sp, sm)
-    dinf *= 2.0
-    den = np.add(dp, dm)
-    dinf /= den
-    dinf *= g2
-    coef_c = np.multiply(g2, 2.0, out=g2)
-    coef_c /= np.multiply(dp, dm, out=den)
+    # in place from here on: with d2 = (sp - sm)^2, dinf2 = d2 (sp + sm) /
+    # (dp + dm) and coef2 = d2 / (dp dm) are 2 dinf and 2 coef_c bit for
+    # bit (outside the subnormal range); g = max(sp, -sm) >= (sp - sm) / 2
+    # >= 0, and the extremum rows have min(sp, -sm) <= 0
+    nsm = np.negative(sm)
+    ext = np.minimum(sp, nsm)
+    r = (ext <= 0.0).nonzero()[0]
+    g = np.maximum(sp, nsm, out=ext) if grad else None
+    d2 = np.add(sp, nsm, out=nsm)
+    np.square(d2, out=d2)
+    dinf2 = np.add(sp, sm, out=sp)
+    dinf2 /= dp + dm
+    dinf2 *= d2
+    coef2 = np.divide(d2, dp * dm, out=d2)
 
     # discrete maxima (sign -1) and minima (+1); a flat row is both and
     # takes the minimum's sign, which is immaterial: all its slopes are 0,
     # so q = 0, dinf = +-0 and coef_c = 0 whichever sign it takes
-    r = ((sp <= 0.0) | (sm >= 0.0)).nonzero()[0]
     if r.size:
         sign = np.where(sm[r] >= 0.0, 1.0, -1.0)
         q = lat[grid.interior_pos[r, None] + grid.column_base]
         q -= c[r, None]
         q /= grid.arm_lengths(r) ** (4.0 / 3.0)
-        cusp_c = np.maximum((sign[:, None] * q).max(1), 0.0)
-        dinf[r] = sign * CUSP * cusp_c ** 3
-        coef_c[r] = 3.0 * CUSP * cusp_c ** 2 / grid.dmin[r] ** (4.0 / 3.0)
-    return dinf, g, coef_c, axis_up
+        q *= sign[:, None]
+        cusp_c = np.maximum(q.max(1), 0.0)
+        dinf2[r] = sign * (2.0 * CUSP) * cusp_c ** 3
+        coef2[r] = 6.0 * CUSP * cusp_c ** 2 / grid.dmin[r] ** (4.0 / 3.0)
+    return dinf2, g, coef2, axis_up
 
 
 def _slope(v, c, d):
@@ -256,20 +262,19 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
     """Monotone right-hand side dv/dt and the CFL coefficient over the
     interior rows, for the neighbour values in lat and the centre values c.
 
-    coef bounds -d(rhs)/d(v_c) per node, scaled so that dt <= cfl /
-    max(coef) keeps the update non-decreasing in the center value, except
-    in phi mode (see below).  With coef_c from _lattice_parts,
-    eta mode:  coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
-    phi mode:  coef = coef_c / (3 max(phi, floor)^2),
-    where the gradient cap, which only phi mode takes (zero-lateral data),
-    scales dinf and coef down.  The phi-mode coef leaves out the 2 rhs / phi
-    of the lagged 1 / phi^2: where rhs > 0 and the cap does not bind, it is
-    no bound.
+    coef bounds -d(rhs)/d(v_c) per node (see the module docstring).  With
+    dinf and coef_c from _lattice_parts,
+    eta mode:  rhs = (dinf + Q^4) / 3,
+               coef = (coef_c + 4 sqrt(n) Q^3 / dmin) / 3,
+    phi mode:  rhs = dinf fac / 3,  coef = coef_c fac / 3 (+ 2 max(rhs, 0)
+               / phi without a cap),  fac = min(cap / g, 1 / phi)^2,
+    with phi floored at positivity_floor; the gradient cap, phi mode only,
+    scales by shrink^2 = min(cap phi / g, 1)^2, and fac = shrink^2 / phi^2.
     """
     eta = config.variable == "eta"
-    dinf, g, coef_c, axis_up = _lattice_parts(grid, lat, c, upwind=eta,
+    dinf2, g, coef2, axis_up = _lattice_parts(grid, lat, c, upwind=eta,
                                               grad=cap is not None)
-    # in place, each rounding as in the formulas above
+    # in place; the exact factor 2 of dinf2 and coef2 folds into the 1/3
     if eta:
         # axiswise upwind |D eta|^2 estimate (monotone in neighbor values)
         for up in axis_up:
@@ -280,28 +285,28 @@ def _lattice_rhs_coef(grid, lat, c, config, cap):
             q2 += up
         q3 = np.sqrt(q2)
         q3 *= q2
-        dinf += np.square(q2, out=q2)
-        dinf /= 3.0
-        q3 *= 4.0 * math.sqrt(grid.dim)
+        q3 *= 8.0 * math.sqrt(grid.dim)
         q3 /= grid.dmin
-        coef_c += q3
-        coef_c /= 3.0
-        return dinf, coef_c
-    phi_safe = np.maximum(c, config.positivity_floor)
-    fac = np.multiply(phi_safe, phi_safe)
-    np.divide(1.0, fac, out=fac)
-    if cap is not None:
-        shrink = np.divide(g, phi_safe, out=g)
-        np.maximum(shrink, 1e-300, out=shrink)
-        np.divide(cap, shrink, out=shrink)
-        np.minimum(shrink, 1.0, out=shrink)
-        fac *= shrink
-        fac *= shrink
-    dinf *= fac
-    dinf /= 3.0
-    coef_c *= fac
-    coef_c /= 3.0
-    return dinf, coef_c
+        coef2 += q3
+        coef2 /= 6.0
+        np.square(q2, out=q2)
+        q2 += q2
+        dinf2 += q2
+        dinf2 /= 6.0
+        return dinf2, coef2
+    phi = np.maximum(c, config.positivity_floor)
+    if cap is None:
+        fac = np.square(phi)
+    else:   # 1 / min(cap / g, 1 / phi)
+        fac = np.multiply(g, 1.0 / cap, out=g)
+        np.maximum(fac, phi, out=fac)
+        np.square(fac, out=fac)
+    np.divide(1.0 / 6.0, fac, out=fac)
+    dinf2 *= fac
+    coef2 *= fac
+    if cap is None:
+        coef2 += 2.0 * np.maximum(dinf2, 0.0) / phi
+    return dinf2, coef2
 
 
 def discrete_infinity_laplacian(grid, vals):
@@ -309,8 +314,10 @@ def discrete_infinity_laplacian(grid, vals):
     cusp branch at discrete extrema, at every interior node of one time
     slice.  Returns an array over grid.interior_idx.
     """
-    return _lattice_parts(grid, grid.lattice(vals), vals[grid.interior_idx],
-                          grad=False)[0]
+    dinf2 = _lattice_parts(grid, grid.lattice(vals), vals[grid.interior_idx],
+                           grad=False)[0]
+    dinf2 *= 0.5
+    return dinf2
 
 
 def _rhs_and_coef(grid, vals, config, cap):
@@ -327,7 +334,7 @@ def cfl_dt(grid, vals, config, cap=None):
     stepper in solve() takes, cfl / max(coef), before clipping to a level.
     """
     _, coef = _rhs_and_coef(grid, vals, config, cap)
-    return config.cfl / max(float(np.max(coef)), 1e-300)
+    return config.cfl / max(float(coef.max()), 1e-300)
 
 
 def _resolve_cap(grid, bd, config):
@@ -377,24 +384,29 @@ def solve(grid, bd, config=None):
     inner = grid.lo + grid.interior_pos
     dt_history = []
     flags = {"positivity_ok": True}
+    least = (math.inf,)   # the smallest CFL step: (dt, t, row, its stencil)
 
     for j in range(1, L):
         t_now = grid.t[j - 1]
         t_target = grid.t[j]
         while t_now < t_target - 1e-14 * grid.T:
             rhs, coef = _lattice_rhs_coef(grid, lat, c, config, cap)
-            dt = config.cfl / max(float(coef.max()), 1e-300)
-            if dt < 1e-13 * grid.T:   # the CFL step, before any clipping
-                raise StiffnessError(
-                    f"time step collapsed to {dt:.3e} at t={t_now:.6g}; "
-                    "the problem is too stiff for the explicit scheme"
-                )
+            i = coef.argmax()
+            dt = config.cfl / max(float(coef[i]), 1e-300)
+            if dt < least[0]:
+                if dt < 1e-13 * grid.T:   # the CFL step, before clipping
+                    raise StiffnessError(
+                        f"time step collapsed to {dt:.3e} at t={t_now:.6g}; "
+                        "the problem is too stiff for the explicit scheme"
+                    )
+                least = (dt, t_now, i, lat[grid.flat_off + inner[i]],
+                         c[i])
             dt = min(dt, t_target - t_now)
             rhs *= dt
             c += rhs
             lat[ring] = to_variable(bd.g(bpts, t_now + dt))
             if not eta:
-                wmin = float(c.min())
+                wmin = float(np.minimum.reduce(c))
                 if wmin < floor:
                     if bd.zero_lateral_ok:
                         np.clip(c, 0.0, None, out=c)
@@ -426,4 +438,17 @@ def solve(grid, bd, config=None):
         np.exp(values, out=values)
     fld = GridField(grid, values, "phi",
                     {"solved_in": config.variable, "grad_cap": cap})
-    return SolveResult(fld, dt_history, summary, flags, config)
+    return SolveResult(fld, dt_history, summary, flags, config,
+                       _binding(grid, cap, floor, *least))
+
+
+def _binding(grid, cap, floor, dt, t, row, stencil, centre):
+    """The record of the smallest CFL step (see the module docstring); the
+    cap scaled its row where the row's g / phi exceeds the cap."""
+    x = grid.sample_pos[grid.interior_idx[row]]
+    s = (stencil - centre) / grid.arm_lengths(row)
+    return {"dt": dt, "t": float(t), "row": int(row), "position": x.tolist(),
+            "boundary_distance": float(grid.domain.boundary_distance(x)),
+            "irregular": bool(np.isin(row, grid.irregular_rows)),
+            "capped": bool(cap is not None and max(s.max(), -s.min())
+                           / max(centre, floor) > cap)}

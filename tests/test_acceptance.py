@@ -112,27 +112,36 @@ def test_criterion_04_growth_sandwich():
 def ball_convergence():
     psi = radial.decaying_profile(1.0, LAMBDA_B1, 1.0, fixed_which="m")
     dom = Domain.ball((0.0, 0.0), 1.0)
-    errs, times = [], []
+    errs, times, steps = [], [], []
     for h, lv in ((0.05, 11), (0.025, 21), (0.0125, 41)):
         grid = build_grid(dom, h, 0.5, lv)
         cfg = solver.SolverConfig(variable="phi", summarize_residual=False)
         t0 = time.time()
         res = solver.solve(grid, eigen_data(psi), cfg)
         times.append(time.time() - t0)
+        steps.append(len(res.dt_history))
         r = np.minimum(np.linalg.norm(grid.sample_pos, axis=1), 1.0)
         exact = psi.eval(r)[:, None] * np.exp(-LAMBDA_B1 * grid.t / 3.0)
         errs.append(float(np.max(np.abs(res.field.values - exact))))
-    return errs, times
+    return errs, times, steps
 
 
 def test_criterion_05_solver_convergence(ball_convergence):
-    errs, times = ball_convergence
+    errs, times, _ = ball_convergence
     ok = (errs[0] <= 5e-2 and errs[0] > errs[1] > errs[2]
           and times[-1] < 120.0)
     record(5, "unit-ball eigen solve: sup error <= 5e-2, monotone "
            "refinement, finest < 2 min", ok,
            f"errors={[f'{e:.3e}' for e in errs]} "
            f"times={[f'{t:.0f}s' for t in times]}")
+
+
+def test_criterion_05_pinned_steps_and_errors(ball_convergence):
+    # the figures ROADMAP tracks; a change that moves results restates them
+    errs, _, steps = ball_convergence
+    assert steps == [1070, 8540, 68280]
+    assert errs == pytest.approx(
+        [2.2615401009e-2, 1.6487556709e-2, 1.4019749011e-2], rel=1e-9)
 
 
 def test_criterion_06_discrete_max_principle():

@@ -212,6 +212,12 @@ class TestRunner:
             "solver": {"variable": "phi", "summarize_residual": False},
             "out_dir": str(tmp_path / "out")})
         assert cli.run(cfg) == 0
+        run = json.loads((tmp_path / "out" / "reports" /
+                          "solver_run.json").read_text())
+        binding = run["binding"]
+        assert binding["dt"] in run["dt_history"] and binding["t"] == 0.0
+        assert binding["capped"] and not binding["irregular"]
+        assert binding["boundary_distance"] == pytest.approx(0.1)
         hist = (tmp_path / "out" / "fields" / "decay_history.csv"
                 ).read_text().splitlines()
         assert hist[0] == "t,sup_phi,log_sup_phi"
