@@ -427,7 +427,8 @@ def solve(grid, bd, config=None):
         values[:, j] = lat[nodes]
 
     # in eta mode the summary reads the eta values before they become phi
-    # in place, so that the solve holds one (N, L) array of values
+    # in place, so that the solve holds one (N, L) array of values; the
+    # summary runs level by level and adds only its (Ni, L) residuals
     summary = None
     if config.summarize_residual and L >= 3:
         if eta:

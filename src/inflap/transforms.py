@@ -14,13 +14,13 @@ truncation estimate obtained by re-evaluating the residual on doubled
 spacing (Richardson), used as the tolerance unit by the test harness.
 
 The centred operator reads the grid's flat lattice (see grids): each
-level's node values go on grid.lattice(), and the axis and diagonal
+level's node values go on one lattice buffer, and the axis and diagonal
 neighbours of the interior range are its slices at step * (+-s_a +- s_b),
 s_a the stride of axis a.  Step 1 is the h pass; step 2, on 2 * flat_off,
 is the Richardson pass, which the lattice's pad keeps inside the array.
-One routine computes the residual for either step.  The 2h pass and the
-clean rows of a ball use grid.inner_rows, the rows whose whole stencil is
-interior.
+A report runs one level at a time, both passes on that buffer: beyond its
+values it holds nothing of (N, L) size.  The 2h pass and the clean rows
+of a ball use grid.inner_rows, the rows whose whole stencil is interior.
 """
 
 from __future__ import annotations
@@ -81,54 +81,50 @@ def _infinity_laplacian_centered(grid, level_vals, step=1):
     """Sum_ab d_a(v) d_b(v) d2_ab(v) with centered differences of spacing
     step * h (h for step 1, 2h for the Richardson pass, step 2).
 
-    The node values go on grid.lattice(), and every neighbour column is
-    the slice of the interior range shifted by step * (+-s_a +- s_b), s_a
-    the stride of axis a.  The lattice's pad keeps the 2h slices inside
-    the array; on rows whose stencil is not all interior they may cross a
-    lattice row, and those rows have no 2h value.  Returns (delta_inf,
-    grad_sq) over interior rows.
+    level_vals are node values (N,), or already on grid.lattice() (as the
+    report passes them).  Every neighbour column is the slice of the
+    interior range shifted by step * (+-s_a +- s_b), s_a the stride of axis
+    a; the lattice's pad keeps the 2h slices inside the array, and on rows
+    whose stencil is not all interior, which have no 2h value, they may
+    cross a lattice row.  The terms are formed in place on two scratch
+    arrays.  Returns (delta_inf, grad_sq) over interior rows.
     """
     n = grid.dim
     spacing = step * grid.h
-    lat = grid.lattice(level_vals)
+    lat = (level_vals if len(level_vals) == grid.lattice_size
+           else grid.lattice(level_vals))
     lo, size = grid.lo, grid.hi - grid.lo
     s = [step * stride for stride in grid.strides]
 
     def at(off):
         return lat[lo + off:lo + off + size]
 
-    c = at(0)
-    vp = [at(s[a]) for a in range(n)]
-    vm = [at(-s[a]) for a in range(n)]
-    p = [(vp[a] - vm[a]) / (2.0 * spacing) for a in range(n)]
-    grad_sq = sum(pa * pa for pa in p)
-    out = np.zeros_like(c)
+    p = [np.subtract(at(s[a]), at(-s[a])) for a in range(n)]
+    for pa in p:
+        pa /= 2.0 * spacing
+    # sums start from zeros, as sum() does, so signed zeros come out alike
+    out, grad_sq = np.zeros(size), np.zeros(size)
+    tmp, w, c2 = np.empty(size), np.empty(size), 2.0 * at(0)
     for a in range(n):
-        h_aa = (vp[a] + vm[a] - 2.0 * c) / spacing ** 2
-        out += p[a] * p[a] * h_aa
+        grad_sq += np.multiply(p[a], p[a], out=w)
+        np.add(at(s[a]), at(-s[a]), out=tmp)
+        tmp -= c2
+        tmp /= spacing ** 2
+        w *= tmp
+        out += w
+    del c2
     for a in range(n):
         for b in range(a + 1, n):
-            h_ab = (at(s[a] + s[b]) + at(-s[a] - s[b])
-                    - at(s[a] - s[b]) - at(s[b] - s[a])
-                    ) / (4.0 * spacing ** 2)
-            out += 2.0 * p[a] * p[b] * h_ab
+            np.add(at(s[a] + s[b]), at(-s[a] - s[b]), out=tmp)
+            tmp -= at(s[a] - s[b])
+            tmp -= at(s[b] - s[a])
+            tmp /= 4.0 * spacing ** 2
+            np.multiply(p[a], 2.0, out=w)
+            w *= p[b]
+            w *= tmp
+            out += w
     rows = grid.interior_pos
     return out[rows], grad_sq[rows]
-
-
-def _time_derivative(vals, dt, stride=1):
-    """Centered d/dt per level at spacing stride * dt, one-sided at the two
-    end levels (NaN at the other levels within stride of the ends), shape
-    preserved; needs L > 2 stride."""
-    N, L = vals.shape
-    out = np.full((N, L), np.nan)
-    s = stride
-    mid = out[:, s:L - s]
-    np.subtract(vals[:, 2 * s:], vals[:, :L - 2 * s], out=mid)
-    mid /= 2 * s * dt
-    out[:, 0] = (-3 * vals[:, 0] + 4 * vals[:, 1] - vals[:, 2]) / (2 * dt)
-    out[:, -1] = (3 * vals[:, -1] - 4 * vals[:, -2] + vals[:, -3]) / (2 * dt)
-    return out
 
 
 @dataclass
@@ -139,7 +135,9 @@ class ResidualReport:
     taken over "clean" rows (full lattice stencil, no projected ring
     corrections) and centered-in-time levels.  ``band`` is 10x the
     a-posteriori truncation estimate from a doubled-spacing pass; tests
-    compare residual magnitudes against it.
+    compare residual magnitudes against it (heuristic_band's with fewer
+    than 5 levels).  values is the one (Ni, L) array a report makes;
+    sup_norm and the band skip NaN samples, as nanmax does.
     """
 
     values: np.ndarray
@@ -160,20 +158,23 @@ class ResidualReport:
                                    self.values.T.ravel())))
 
 
-def _residual(grid, vals, inner, tag, sigma, step, levels):
-    """Residual on the interior rows at the given levels (one column per
-    level), with spacing step * h in space and step * dt in time; inner is
-    vals at the interior rows."""
-    vt = _time_derivative(inner, grid.dt_level, step)
-    res = np.empty((inner.shape[0], len(levels)))
-    for col, j in enumerate(levels):
-        dinf, gsq = _infinity_laplacian_centered(grid, vals[:, j], step)
-        if tag == "Pi":
-            c = inner[:, j]
-            res[:, col] = dinf - 3.0 * c * c * vt[:, j]
-        else:
-            res[:, col] = dinf + sigma * gsq * gsq - 3.0 * vt[:, j]
-    return res
+def _level_residual(grid, vals, lat, j, step, tag, sigma, rows=slice(None)):
+    """Residual at level j on the interior rows ``rows``, with spacing
+    step * h in space and step * dt in time (one-sided at spacing dt at the
+    two end levels); lat holds level j on the grid's lattice."""
+    L, dt, idx = grid.time_levels, grid.dt_level, grid.interior_idx[rows]
+    if j == 0:
+        vt = (-3 * vals[idx, 0] + 4 * vals[idx, 1] - vals[idx, 2]) / (2 * dt)
+    elif j == L - 1:
+        vt = (3 * vals[idx, -1] - 4 * vals[idx, -2] + vals[idx, -3]) / (2 * dt)
+    else:
+        vt = (vals[idx, j + step] - vals[idx, j - step]) / (2 * step * dt)
+    dinf, gsq = _infinity_laplacian_centered(grid, lat, step)
+    dinf, gsq = dinf[rows], gsq[rows]
+    if tag == "Pi":
+        c = vals[idx, j]
+        return dinf - 3.0 * c * c * vt
+    return dinf + sigma * gsq * gsq - 3.0 * vt
 
 
 def heuristic_band(grid, vals):
@@ -184,36 +185,33 @@ def heuristic_band(grid, vals):
 
 
 def _make_report(grid, vals, tag, sigma):
-    # one gather of the interior rows serves both passes, and no copy of
-    # the residual outlives its use: these passes hold the largest arrays
-    # of a solve with its summary
-    L = grid.time_levels
-    interior = vals[grid.interior_idx]
-    res = _residual(grid, vals, interior, tag, sigma, 1, range(L))
-    inner = grid.inner_rows
+    # one level at a time on one lattice buffer; the sup (clean rows,
+    # centred levels) and the 2h band (inner rows, levels 2 .. L - 3) are
+    # running maxima that skip NaN, as nanmax does
+    L, inner = grid.time_levels, grid.inner_rows
     clean = inner | (grid.domain.kind != "ball")
-    onesided = np.zeros(L, dtype=bool)
-    onesided[0] = onesided[-1] = True
-    centered = ~onesided
-    body = np.abs(res[np.ix_(clean, centered)])
-    sup = float(np.nanmax(body)) if body.size else float("nan")
-    del body
-    band_nodes = np.full(res.shape[0], np.nan)
-    if L > 4 and np.any(inner):
-        res2 = _residual(grid, vals, interior, tag, sigma, 2, range(2, L - 2))
-        del interior
-        diff = res[inner, 2:L - 2]
-        diff -= res2[inner]
-        np.abs(diff, out=diff)
-        with np.errstate(invalid="ignore"):
-            per_row = np.nanmax(diff, axis=1) / 3.0
-        band_nodes[inner] = 10.0 * per_row + 1e-13
+    onesided = np.isin(np.arange(L), (0, L - 1))
+    res = np.empty((inner.size, L))
+    lat = np.zeros(grid.lattice_size)
+    sup = np.nan
+    top = np.full(np.count_nonzero(inner), np.nan)
+    for j in range(L):
+        lat[grid.node_flat] = vals[:, j]
+        res[:, j] = _level_residual(grid, vals, lat, j, 1, tag, sigma)
+        if not onesided[j]:
+            sup = np.fmax(sup, np.fmax.reduce(np.abs(res[clean, j]),
+                                              initial=np.nan))
+        if 2 <= j < L - 2 and top.size:
+            diff = res[inner, j] - _level_residual(grid, vals, lat, j, 2, tag,
+                                                   sigma, inner)
+            np.fmax(top, np.abs(diff, out=diff), out=top)
+    band_nodes = np.full(inner.size, np.nan)
+    band_nodes[inner] = 10.0 * (top / 3.0) + 1e-13
     usable = clean & np.isfinite(band_nodes)
-    if np.any(usable):
-        band = float(np.max(band_nodes[usable]))
-    else:
-        band = heuristic_band(grid, vals) + 1e-13
-    return ResidualReport(res, sup, band, band_nodes, clean, onesided, sigma)
+    band = (float(np.max(band_nodes[usable])) if np.any(usable)
+            else heuristic_band(grid, vals) + 1e-13)
+    return ResidualReport(res, float(sup), band, band_nodes, clean, onesided,
+                          sigma)
 
 
 def residual_Pi(fld):

@@ -8,6 +8,8 @@ neighborhood of the center.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,14 +132,30 @@ def _second_ring(grid):
     return np.where(two >= 0, two, 0), eligible
 
 
+def _time_derivative(vals, dt, stride=1):
+    """Oracle: centered d/dt per level at spacing stride * dt, one-sided at
+    the two end levels (NaN at the other levels within stride of the
+    ends), shape preserved; needs L > 2 stride."""
+    N, L = vals.shape
+    out = np.full((N, L), np.nan)
+    s = stride
+    mid = out[:, s:L - s]
+    np.subtract(vals[:, 2 * s:], vals[:, :L - 2 * s], out=mid)
+    mid /= 2 * s * dt
+    out[:, 0] = (-3 * vals[:, 0] + 4 * vals[:, 1] - vals[:, 2]) / (2 * dt)
+    out[:, -1] = (3 * vals[:, -1] - 4 * vals[:, -2] + vals[:, -3]) / (2 * dt)
+    return out
+
+
 def _gather_report(grid, vals, tag, sigma):
     """Oracle: (values, sup_norm, band, band_nodes, clean_rows) of a
-    residual report gathered through nbr_index and its second ring."""
+    residual report gathered through nbr_index and its second ring; with
+    L <= 4 there is no 2h pass and the band is the heuristic one."""
     idx, L, dt = grid.interior_idx, grid.time_levels, grid.dt_level
     two, eligible = _second_ring(grid)
 
     def residual(spacing, nbr, stride, levels):
-        vt = tf._time_derivative(vals, dt, stride)
+        vt = _time_derivative(vals, dt, stride)
         res = np.full((idx.size, L), np.nan)
         for j in levels:
             dinf, gsq = _gather_centered(grid, vals[:, j], spacing, nbr)
@@ -152,11 +170,17 @@ def _gather_report(grid, vals, tag, sigma):
     clean = np.all(grid.interior_mask[grid.nbr_index], axis=1) | (
         grid.domain.kind != "ball")
     sup = float(np.nanmax(np.abs(res[clean][:, 1:-1])))
-    res2 = residual(2.0 * grid.h, two, 2, range(2, L - 2))
-    per_row = np.nanmax(np.abs(res[:, 2:L - 2] - res2[:, 2:L - 2]), axis=1)
     band_nodes = np.full(idx.size, np.nan)
-    band_nodes[eligible] = 10.0 * (per_row / 3.0)[eligible] + 1e-13
-    band = float(np.max(band_nodes[clean & np.isfinite(band_nodes)]))
+    if L > 4:
+        res2 = residual(2.0 * grid.h, two, 2, range(2, L - 2))
+        per_row = np.nanmax(np.abs(res[:, 2:L - 2] - res2[:, 2:L - 2]),
+                            axis=1)
+        band_nodes[eligible] = 10.0 * (per_row / 3.0)[eligible] + 1e-13
+    usable = clean & np.isfinite(band_nodes)
+    if usable.any():
+        band = float(np.max(band_nodes[usable]))
+    else:
+        band = tf.heuristic_band(grid, vals) + 1e-13
     return res, sup, band, band_nodes, clean
 
 
@@ -168,22 +192,34 @@ def _gather_report(grid, vals, tag, sigma):
     (Domain.ball((0.1, 0.0, -0.2), 1.0), 0.125),
 ], ids=["interval", "box2d", "box3d", "disk", "ball3d"])
 def test_lattice_residual_matches_gather_oracle(dom, h):
-    # the slice operator, the lattice row mask and the one residual routine
-    # reproduce the gather-based report bit for bit, band included
-    g = build_grid(dom, h, 0.5, 7)
+    # the slice operator, the lattice row mask and the level-by-level report
+    # reproduce the gather-based report bit for bit, band included: with no
+    # 2h pass (3 levels), the fewest levels with one (5) and 7 levels, and
+    # on a field with NaN samples, one inner row NaN at every level
     rng = np.random.default_rng(3)
-    x = g.sample_pos
-    vals = np.exp(0.4 * g.t + (x @ np.linspace(0.5, -0.3, g.dim))[:, None]
-                  + 0.05 * rng.normal(size=(g.n_nodes, g.time_levels)))
-    fld = GridField(g, vals, "phi")
-    eta = tf.to_eta(fld)
-    for rep, ref in ((tf.residual_Pi(fld), _gather_report(g, vals, "Pi", 1.0)),
-                     (tf.residual_Gamma(eta, sigma=0.7),
-                      _gather_report(g, eta.values, "Gamma", 0.7))):
-        got = (rep.values, rep.sup_norm, rep.band, rep.band_nodes,
-               rep.clean_rows)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b, equal_nan=True)
+    for levels in (3, 5, 7):
+        g = build_grid(dom, h, 0.5, levels)
+        x = g.sample_pos
+        vals = np.exp(0.4 * g.t + (x @ np.linspace(0.5, -0.3, g.dim))[:, None]
+                      + 0.05 * rng.normal(size=(g.n_nodes, g.time_levels)))
+        holed = vals.copy()
+        holed[g.interior_idx[::5], levels // 2] = np.nan
+        holed[g.interior_idx[np.flatnonzero(g.inner_rows)[0]]] = np.nan
+        for v in (vals, holed):
+            fld = GridField(g, v, "phi")
+            eta = tf.to_eta(fld)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reps = (tf.residual_Pi(fld), tf.residual_Gamma(eta, sigma=0.7))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                refs = (_gather_report(g, v, "Pi", 1.0),
+                        _gather_report(g, eta.values, "Gamma", 0.7))
+            for rep, ref in zip(reps, refs):
+                got = (rep.values, rep.sup_norm, rep.band, rep.band_nodes,
+                       rep.clean_rows)
+                for a, b in zip(got, ref):
+                    assert np.array_equal(a, b, equal_nan=True)
     # the operator itself at h and at 2h, on the rows of the 2h pass
     two, eligible = _second_ring(g)
     assert np.array_equal(g.inner_rows, eligible) and eligible.any()
@@ -192,6 +228,32 @@ def test_lattice_residual_matches_gather_oracle(dom, h):
         ref = _gather_centered(g, vals[:, 3], step * g.h, nbr)
         for a, b in zip(got, ref):
             assert np.array_equal(a[eligible], b[eligible])
+
+
+@pytest.mark.parametrize("dom,h", [
+    (Domain.box([(-0.5, 0.5)] * 3), 0.05),
+    (Domain.ball((0.0, 0.0), 1.0), 0.025),
+], ids=["box3d", "disk"])
+def test_residual_report_working_set(dom, h):
+    # a report holds one level at a time: beyond its own values its traced
+    # heap peak stays within one (N, L) field (the box3d-growth grid and
+    # the ball-decay disk; 1-D fields are too small to measure)
+    g = build_grid(dom, h, 1.0, 21)
+    x = g.sample_pos
+    phi = GridField(g, np.exp(0.3 * g.t + (x @ np.linspace(0.4, -0.2, g.dim))
+                              [:, None]), "phi")
+    eta = tf.to_eta(phi)
+    field_bytes = g.n_nodes * g.time_levels * 8
+    for report, fld in ((tf.residual_Pi, phi), (tf.residual_Gamma, eta)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = report(fld)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rep.band)
+        assert peak <= rep.values.nbytes + field_bytes
 
 
 class TestSeparable:
