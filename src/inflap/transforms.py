@@ -13,14 +13,14 @@ Every ResidualReport carries a discretization band: 10x the a-posteriori
 truncation estimate obtained by re-evaluating the residual on doubled
 spacing (Richardson), used as the tolerance unit by the test harness.
 
-The centred operator reads the grid's flat lattice (see grids): each
-level's node values go on one lattice buffer, and the axis and diagonal
+The centred operator reads the grid's flat lattice (see grids): a
+level's node values go on grid.lattice(), and the axis and diagonal
 neighbours of the interior range are its slices at step * (+-s_a +- s_b),
 s_a the stride of axis a.  Step 1 is the h pass; step 2, on 2 * flat_off,
 is the Richardson pass, which the lattice's pad keeps inside the array.
-A report runs one level at a time, both passes on that buffer: beyond its
-values it holds nothing of (N, L) size.  The 2h pass and the clean rows
-of a ball use grid.inner_rows, the rows whose whole stencil is interior.
+A report runs one level at a time, so beyond its values it holds nothing
+of (N, L) size.  The 2h pass and the clean rows of a ball use
+grid.inner_rows, the rows whose whole stencil is interior.
 """
 
 from __future__ import annotations
@@ -81,18 +81,17 @@ def _infinity_laplacian_centered(grid, level_vals, step=1):
     """Sum_ab d_a(v) d_b(v) d2_ab(v) with centered differences of spacing
     step * h (h for step 1, 2h for the Richardson pass, step 2).
 
-    level_vals are node values (N,), or already on grid.lattice() (as the
-    report passes them).  Every neighbour column is the slice of the
-    interior range shifted by step * (+-s_a +- s_b), s_a the stride of axis
-    a; the lattice's pad keeps the 2h slices inside the array, and on rows
-    whose stencil is not all interior, which have no 2h value, they may
-    cross a lattice row.  The terms are formed in place on two scratch
-    arrays.  Returns (delta_inf, grad_sq) over interior rows.
+    The node values go on grid.lattice(), and every neighbour column is
+    the slice of the interior range shifted by step * (+-s_a +- s_b), s_a
+    the stride of axis a.  The lattice's pad keeps the 2h slices inside
+    the array; on rows whose stencil is not all interior they may cross a
+    lattice row, and those rows have no 2h value.  The terms are formed in
+    place on two scratch arrays.  Returns (delta_inf, grad_sq) over
+    interior rows.
     """
     n = grid.dim
     spacing = step * grid.h
-    lat = (level_vals if len(level_vals) == grid.lattice_size
-           else grid.lattice(level_vals))
+    lat = grid.lattice(level_vals)
     lo, size = grid.lo, grid.hi - grid.lo
     s = [step * stride for stride in grid.strides]
 
@@ -158,10 +157,10 @@ class ResidualReport:
                                    self.values.T.ravel())))
 
 
-def _level_residual(grid, vals, lat, j, step, tag, sigma, rows=slice(None)):
+def _level_residual(grid, vals, j, step, tag, sigma, rows=slice(None)):
     """Residual at level j on the interior rows ``rows``, with spacing
     step * h in space and step * dt in time (one-sided at spacing dt at the
-    two end levels); lat holds level j on the grid's lattice."""
+    two end levels)."""
     L, dt, idx = grid.time_levels, grid.dt_level, grid.interior_idx[rows]
     if j == 0:
         vt = (-3 * vals[idx, 0] + 4 * vals[idx, 1] - vals[idx, 2]) / (2 * dt)
@@ -169,7 +168,7 @@ def _level_residual(grid, vals, lat, j, step, tag, sigma, rows=slice(None)):
         vt = (3 * vals[idx, -1] - 4 * vals[idx, -2] + vals[idx, -3]) / (2 * dt)
     else:
         vt = (vals[idx, j + step] - vals[idx, j - step]) / (2 * step * dt)
-    dinf, gsq = _infinity_laplacian_centered(grid, lat, step)
+    dinf, gsq = _infinity_laplacian_centered(grid, vals[:, j], step)
     dinf, gsq = dinf[rows], gsq[rows]
     if tag == "Pi":
         c = vals[idx, j]
@@ -185,24 +184,22 @@ def heuristic_band(grid, vals):
 
 
 def _make_report(grid, vals, tag, sigma):
-    # one level at a time on one lattice buffer; the sup (clean rows,
-    # centred levels) and the 2h band (inner rows, levels 2 .. L - 3) are
-    # running maxima that skip NaN, as nanmax does
+    # one level at a time; the sup (clean rows, centred levels) and the 2h
+    # band (inner rows, levels 2 .. L - 3) are running maxima that skip
+    # NaN, as nanmax does
     L, inner = grid.time_levels, grid.inner_rows
     clean = inner | (grid.domain.kind != "ball")
     onesided = np.isin(np.arange(L), (0, L - 1))
     res = np.empty((inner.size, L))
-    lat = np.zeros(grid.lattice_size)
     sup = np.nan
     top = np.full(np.count_nonzero(inner), np.nan)
     for j in range(L):
-        lat[grid.node_flat] = vals[:, j]
-        res[:, j] = _level_residual(grid, vals, lat, j, 1, tag, sigma)
+        res[:, j] = _level_residual(grid, vals, j, 1, tag, sigma)
         if not onesided[j]:
             sup = np.fmax(sup, np.fmax.reduce(np.abs(res[clean, j]),
                                               initial=np.nan))
         if 2 <= j < L - 2 and top.size:
-            diff = res[inner, j] - _level_residual(grid, vals, lat, j, 2, tag,
+            diff = res[inner, j] - _level_residual(grid, vals, j, 2, tag,
                                                    sigma, inner)
             np.fmax(top, np.abs(diff, out=diff), out=top)
     band_nodes = np.full(inner.size, np.nan)
