@@ -814,24 +814,16 @@ def build_sup_family(grid, bd, eps, space_stride=1, time_stride=4,
                          interior_stride)
 
 
-def barrier_catalog_json(barrs, path=None):
+def barrier_catalog_json(barrs):
     """Serializable description (family, anchor, derived constants)."""
-    import json
-
-    entries = []
-    for b in barrs:
-        entries.append({
-            "family": b.spec.family,
-            "kind": b.kind,
-            "anchor": [list(b.spec.anchor[0]), b.spec.anchor[1]],
-            "epsilon": b.spec.epsilon,
-            "constant": b.spec.constant,
-            "derived": {k: float(v) for k, v in b.spec.derived.items()},
-        })
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(entries, fh, indent=1, sort_keys=True)
-    return entries
+    return [{
+        "family": b.spec.family,
+        "kind": b.kind,
+        "anchor": [list(b.spec.anchor[0]), b.spec.anchor[1]],
+        "epsilon": b.spec.epsilon,
+        "constant": b.spec.constant,
+        "derived": {k: float(v) for k, v in b.spec.derived.items()},
+    } for b in barrs]
 
 
 # ---------------------------------------------------------------------------

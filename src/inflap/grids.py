@@ -49,6 +49,10 @@ The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Its
 parabolic boundary P_T is ``pt_mask``, an (N, L) bool: the initial slab
 plus the ring entries with t < T (the t = T ring slab is stored but is not
 part of P_T, matching the half-open lateral boundary).
+
+Artifacts are written by two functions: ``write_csv`` (numbers as %.17g)
+and ``write_json`` (numpy values as Python numbers, sorted keys, one-space
+indent); ``grid_to_json`` and ``field_to_csv`` describe a grid and a field.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ __all__ = [
     "grid_to_json",
     "field_to_csv",
     "write_csv",
+    "write_json",
 ]
 
 
@@ -595,11 +600,11 @@ def sample_boundary_data(bd, grid):
 # serialization
 # ---------------------------------------------------------------------------
 
-def grid_to_json(grid, path=None):
+def grid_to_json(grid):
     """JSON description: domain, spacing, time axis, nodes and their
     interior flags."""
     dom = grid.domain
-    desc = {
+    return {
         "domain": {"kind": dom.kind, "bounds": dom.bounds, "dim": dom.dim},
         "h": grid.h,
         "T": grid.T,
@@ -610,10 +615,6 @@ def grid_to_json(grid, path=None):
                                grid.interior_mask.tolist())
         ],
     }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(desc, fh, indent=1, sort_keys=True)
-    return desc
 
 
 def field_to_csv(fld, path, skip_nan=True):
@@ -635,3 +636,22 @@ def write_csv(path, header, rows):
         fh.write(header + "\n")
         fh.writelines(line % tuple(row)
                       for row in np.asarray(rows, dtype=float).tolist())
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def write_json(path, obj):
+    """JSON with sorted keys and a one-space indent; numpy scalars become
+    Python floats and arrays lists."""
+    with open(path, "w") as fh:
+        json.dump(_jsonable(obj), fh, indent=1, sort_keys=True)

@@ -179,7 +179,7 @@ def _level_residual(grid, vals, j, step, tag, sigma, rows=slice(None)):
 def heuristic_band(grid, vals):
     """10 (h + dt) (1 + max |vals|)^3, the residual band used where no
     h-versus-2h band can be formed."""
-    scale = 1.0 + float(np.nanmax(np.abs(vals)))
+    scale = 1.0 + float(max(np.nanmax(vals), -np.nanmin(vals)))
     return 10.0 * (grid.h + grid.dt_level) * scale ** 3
 
 

@@ -11,6 +11,7 @@ from inflap.grids import (
     GridField,
     build_grid,
     sample_boundary_data,
+    write_json,
 )
 
 
@@ -562,7 +563,8 @@ def test_catalog_serialization(tmp_path, setup_1d=None):
                       g=lambda x, t: np.ones(len(x)))
     sample_boundary_data(bd, g)
     fam = B.build_sub_family(g, bd, 0.02, interior_stride=4)
-    entries = B.barrier_catalog_json(fam, tmp_path / "catalog.json")
+    entries = B.barrier_catalog_json(fam)
+    write_json(tmp_path / "catalog.json", entries)
     assert len(entries) == len(fam)
     assert (tmp_path / "catalog.json").exists()
     families = {e["family"] for e in entries}

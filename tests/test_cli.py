@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inflap import cli, radial
+from inflap import cli, radial, solver
 from inflap.catalog import catalog_entries, make_data
 from inflap.grids import Domain, build_grid, sample_boundary_data
 
@@ -155,6 +155,15 @@ class TestRunner:
         assert cli.run(cfg) == 2
         assert "run failed: zero-lateral data needs variable='phi'" in \
             capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_collapsed_step_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a StiffnessError is a run failure too
+        monkeypatch.setattr(solver.SolverConfig, "cfl", 1e-20)
+        cfg = self.write_cfg(tmp_path, {"experiment": "decay",
+                                        "out_dir": str(tmp_path / "out")})
+        assert cli.run(cfg) == 2
+        assert "run failed: time step collapsed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_decay_target_independent_of_axis_order(self, tmp_path):

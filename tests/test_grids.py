@@ -225,7 +225,8 @@ class TestGridField:
 
 def test_exports(tmp_path):
     g = build_grid(Domain.interval(0, 1), 0.25, 0.5, 3)
-    desc = grids.grid_to_json(g, tmp_path / "grid.json")
+    desc = grids.grid_to_json(g)
+    grids.write_json(tmp_path / "grid.json", desc)
     assert desc["domain"]["kind"] == "interval"
     assert (tmp_path / "grid.json").exists()
     fld = GridField.from_function(g, lambda x, t: np.ones(len(x)))
@@ -509,7 +510,8 @@ def test_serializers_match_per_sample_writers(tmp_path, name, skip_nan):
     grids.field_to_csv(fld, tmp_path / "f.csv", skip_nan=skip_nan)
     assert ((tmp_path / "f.csv").read_bytes()
             == field_to_csv_reference(fld, skip_nan).encode())
-    desc = grids.grid_to_json(g, tmp_path / "g.json")
+    desc = grids.grid_to_json(g)
+    grids.write_json(tmp_path / "g.json", desc)
     ref = dict(desc, nodes=grid_json_reference(g))
     assert desc == ref
     assert ((tmp_path / "g.json").read_text()

@@ -269,6 +269,15 @@ class TestErrors:
         with pytest.raises(solver.StiffnessError, match="max_steps=10"):
             solver.solve(g, eigen_bd(psi), cfg)
 
+    def test_collapsed_step_guard(self, monkeypatch):
+        psi = radial.decaying_profile(1.0, LAMBDA_B1, 1.0, fixed_which="m")
+        g = build_grid(Domain.interval(-1, 1), 0.05, 0.5, 11)
+        monkeypatch.setattr(solver.SolverConfig, "cfl", 1e-20)
+        cfg = solver.SolverConfig(variable="phi", summarize_residual=False)
+        with pytest.raises(solver.StiffnessError,
+                           match="time step collapsed"):
+            solver.solve(g, eigen_bd(psi), cfg)
+
 
 def test_solve_result_metadata():
     g = build_grid(Domain.interval(0, 1), 0.1, 0.3, 4)
