@@ -19,8 +19,12 @@ bd = BoundaryData(
     f=lambda x: 1.0 + 0.5 * np.sin(np.pi * x[:, 0]),
     g=lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x[:, 0] + 2 * t) ** 2
     * np.exp(-t))
-hfield = sample_boundary_data(bd, grid)
+hs = sample_boundary_data(bd, grid)     # h on P_T: f slab and g ring block
 eps = 0.05 * (bd.M - bd.m)
+ring = grid.sample_pos[grid.boundary_idx]
+# P_T level by level: every node at t = 0, then the ring nodes at 0 < t < T
+pt_levels = [(grid.sample_pos, grid.t[0], hs.slab)] + [
+    (ring, t, h) for t, h in zip(grid.t[1:-1], hs.ring.T)]
 
 print(f"data range on P_T: m={bd.m:.4f}, M={bd.M:.4f}; pin eps={eps:.4f}")
 print("\n== the six families, pinned to h -/+ 2 eps at their anchors ==")
@@ -40,12 +44,8 @@ for name, b in catalog:
     off = 2 * eps if b.kind == "sub" else -2 * eps
     pin = float(b.eval(y[None, :], s)[0])
     worst = -np.inf
-    for j, tj in enumerate(grid.t):
-        mask = grid.pt_mask[:, j]     # the P_T nodes at level j
-        if not mask.any():
-            continue
-        v = b.eval(grid.sample_pos[mask], tj)
-        h = hfield.values[mask, j]
+    for pts, tj, h in pt_levels:
+        v = b.eval(pts, tj)
         worst = max(worst, float(np.max(v - h if b.kind == "sub"
                                         else h - v)))
     print(f"{name} pin={pin:.6f} (target {datum - off:.6f})  "

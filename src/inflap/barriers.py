@@ -29,10 +29,11 @@ takes the side ("sub" or "super") as data:
 The envelopes, the Perron sup/inf and the family builders are likewise
 one body each, with max/min or the side's makers as data.  Neighborhood
 sizes (delta, tau) come from a continuity modulus of h, read off its
-samples on the grid's P_T (sample_boundary_data, once per grid), with
-geometric back-off.  Anchors with h(anchor) = m (sub) or = M (super)
-return the constant barrier (the right convention for flat data, where no
-pinned bump is available).
+samples on the grid's P_T with geometric back-off: the BoundarySamples
+record of sample_boundary_data (once per grid), whose (N,) initial slab
+and (Nb, L-2) ring block the back-off reduces directly.  Anchors with
+h(anchor) = m (sub) or = M (super) return the constant barrier (the right
+convention for flat data, where no pinned bump is available).
 """
 
 from __future__ import annotations
@@ -113,19 +114,20 @@ class Barrier:
 # continuity modulus by geometric back-off
 # ---------------------------------------------------------------------------
 
-def _modulus_backoff(hfield, anchor_pt, anchor_t, anchor_val, eps, delta0,
-                     tau0):
+def _modulus_backoff(hs, anchor_pt, anchor_t, anchor_val, eps, delta0, tau0):
     """Shrink (delta, tau) until the oscillation of the P_T samples of h
-    (hfield, from sample_boundary_data) on the space-time neighborhood of
-    the anchor is <= eps."""
-    grid = hfield.grid
-    # 0 off P_T: it cannot raise a max of |h - h(anchor)| >= 0
-    dev = np.where(grid.pt_mask, np.abs(hfield.values - anchor_val), 0.0)
+    (hs, the BoundarySamples of sample_boundary_data) on the space-time
+    neighborhood of the anchor is <= eps."""
+    grid = hs.grid
+    dev0, dev = np.abs(hs.slab - anchor_val), np.abs(hs.ring - anchor_val)
     dx = np.linalg.norm(grid.sample_pos - np.asarray(anchor_pt), axis=1)
-    dt_ = np.abs(grid.t - anchor_t)
+    dx_ring = dx[grid.boundary_idx]
+    dt0, dt_ring = abs(grid.t[0] - anchor_t), np.abs(grid.t[1:-1] - anchor_t)
     delta, tau = float(delta0), float(tau0)
     for _ in range(60):
-        osc = dev[dx <= delta][:, dt_ <= tau].max(initial=0.0)
+        osc = dev[dx_ring <= delta][:, dt_ring <= tau].max(initial=0.0)
+        if dt0 <= tau:   # the initial slab is in the neighborhood
+            osc = max(osc, dev0[dx <= delta].max(initial=0.0))
         if osc <= eps:
             return delta, tau
         delta *= 0.5
@@ -143,10 +145,10 @@ def _modulus_backoff(hfield, anchor_pt, anchor_t, anchor_val, eps, delta0,
 def _sampled(bd, grid, eps, kind):
     """h on the P_T of grid (sampled once per grid), with room for a sub
     barrier below m."""
-    hfield = sample_boundary_data(bd, grid)
+    hs = sample_boundary_data(bd, grid)
     if kind == "sub" and not bd.m - 2.0 * eps > 0:
         raise BarrierError(f"need m - 2 eps > 0 (m={bd.m}, eps={eps})")
-    return hfield
+    return hs
 
 
 def _flat_barrier(family, anchor, eps, bd, kind, datum):
@@ -171,7 +173,7 @@ def _glued(kind, family, y, eps, bd, grid):
     profile table at glue/center directly, which is unique because the
     center is monotone in lam.
     """
-    hfield = _sampled(bd, grid, eps, kind)
+    hs = _sampled(bd, grid, eps, kind)
     sub = kind == "sub"
     name = f"{family}_{'sub' if sub else 'sup'}"
     dom = grid.domain
@@ -187,7 +189,7 @@ def _glued(kind, family, y, eps, bd, grid):
         delta0 = 0.98 * float(dom.boundary_distance(y[None, :])[0])
     else:
         delta0 = 0.5 * dom.diameter()
-    delta, tau = _modulus_backoff(hfield, y, 0.0, fy, eps, delta0, grid.T)
+    delta, tau = _modulus_backoff(hs, y, 0.0, fy, eps, delta0, grid.T)
     if sub:
         glue, center = bd.m - 2.0 * eps, fy - 2.0 * eps
         low, high, table = glue, center, decay_table()
@@ -261,7 +263,7 @@ def _lateral_anchor(kind, family, y, s, eps, bd, grid):
     where h(y, s) sits at m (sub) or M (super), and (delta, tau) the
     backed-off neighborhood otherwise.
     """
-    hfield = _sampled(bd, grid, eps, kind)
+    hs = _sampled(bd, grid, eps, kind)
     if not 0.0 < s < grid.T:
         raise BarrierError("gamma anchor needs 0 < s < T")
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -269,7 +271,7 @@ def _lateral_anchor(kind, family, y, s, eps, bd, grid):
     flat = _flat_barrier(family, (tuple(y), s), eps, bd, kind, hys)
     if flat is not None:
         return y, hys, flat, None, None
-    delta, tau = _modulus_backoff(hfield, y, s, hys, eps,
+    delta, tau = _modulus_backoff(hs, y, s, hys, eps,
                                   0.5 * grid.domain.diameter(),
                                   min(s, grid.T - s))
     return y, hys, None, delta, tau

@@ -47,8 +47,11 @@ first access, for tests and probes, and no module here reads them.
 
 The cylinder keeps time levels t_j = j T/(L-1) spanning [0, T].  Its
 parabolic boundary P_T is ``pt_mask``, an (N, L) bool: the initial slab
-plus the ring entries with t < T (the t = T ring slab is stored but is not
-part of P_T, matching the half-open lateral boundary).
+plus the ring entries at levels 1 .. L-2, the ones with t < T (the t = T
+ring slab is not part of P_T, matching the half-open lateral boundary).
+The boundary datum is sampled on P_T alone, at its own size: a
+``BoundarySamples`` record holds f on the initial slab as an (N,) array
+and g at the ring nodes on levels 1 .. L-2 as an (Nb, L-2) block.
 
 Artifacts are written by two functions: ``write_csv`` (numbers as %.17g)
 and ``write_json`` (numpy values as Python numbers, sorted keys, one-space
@@ -72,6 +75,7 @@ __all__ = [
     "CylinderGrid",
     "GridField",
     "BoundaryData",
+    "BoundarySamples",
     "GridConfigError",
     "DataError",
     "build_grid",
@@ -358,11 +362,11 @@ class CylinderGrid:
         inside = np.zeros(self.lattice_size, dtype=bool)
         inside[int_pos] = True
         self.inner_rows = self.box_reduce(inside, np.minimum)
-        # P_T: every node at t = 0 and the ring nodes at t < T (the lateral
-        # boundary is half-open in time)
+        # P_T: every node at t = 0 and the ring nodes at t < T, levels
+        # 0 .. L-2 (the lateral boundary is half-open in time)
         self.pt_mask = np.zeros((self.n_nodes, self.time_levels), dtype=bool)
         self.pt_mask[:, 0] = True
-        self.pt_mask[self.boundary_idx] |= self.t < self.T * (1.0 - 1e-12)
+        self.pt_mask[self.boundary_idx, :-1] = True
 
 
 def _node_at(node_flat, size):
@@ -525,15 +529,39 @@ class GridField:
                          dict(self.meta))
 
 
+@dataclass(frozen=True, eq=False)
+class BoundarySamples:
+    """h on the parabolic boundary P_T of one grid, and nothing else.
+
+    slab is f at every node at t = 0, an (N,) array; ring is g at the ring
+    nodes (grid.boundary_idx) on the open levels 0 < t < T, an (Nb, L-2)
+    block whose column j - 1 is level j.  m and M are the inf and sup of
+    the two.  parts(values) lays out the P_T entries of an (N, L) array the
+    same way.
+    """
+
+    grid: CylinderGrid
+    slab: np.ndarray
+    ring: np.ndarray
+    m: float
+    M: float
+
+    def parts(self, values):
+        """(values[:, 0], values[ring nodes, 1:L-1]): the P_T entries of
+        the (N, L) array values, as slab and ring."""
+        return values[:, 0], values[self.grid.boundary_idx, 1:-1]
+
+
 @dataclass
 class BoundaryData:
     """Continuous data h on P_T: f(x) at t=0, g(x,t) on the lateral boundary.
 
     ``f`` maps (N, n) points to (N,) values; ``g`` maps ((N, n), t) to (N,).
-    ``samples`` is the field sample_boundary_data built for the last grid it
-    was given, and m and M are the inf and sup of h on that grid's P_T
-    (None before the first sampling).  The record assumes f and g stay as
-    they are; dataclasses.replace makes new data without one.
+    ``samples`` is the BoundarySamples record sample_boundary_data made
+    for the last grid it was given, and m and M are the inf and sup of h
+    on that grid's P_T (None before the first sampling).  The record
+    assumes f and g stay as they are; dataclasses.replace makes new data
+    without one.
     """
 
     f: Callable
@@ -541,41 +569,44 @@ class BoundaryData:
     zero_lateral_ok: bool = False
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    samples: Optional[GridField] = field(default=None, init=False,
-                                         repr=False, compare=False)
+    samples: Optional[BoundarySamples] = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     @property
     def m(self):
-        return None if self.samples is None else self.samples.meta["m"]
+        return None if self.samples is None else self.samples.m
 
     @property
     def M(self):
-        return None if self.samples is None else self.samples.meta["M"]
+        return None if self.samples is None else self.samples.M
 
 
 def sample_boundary_data(bd, grid):
-    """h on P_T, sampled once per grid: an (N, L) GridField with f on the
-    initial slab, g at the ring nodes on later levels, and NaN elsewhere.
+    """h on P_T, sampled once per grid: a BoundarySamples record with f at
+    every node at t = 0 and g at the ring nodes on levels 1 .. L-2.
 
-    The field also holds g at the ring nodes at t = T, which are not in
-    P_T, so callers that want P_T alone mask with grid.pt_mask.  It is kept
-    as bd.samples, with m = inf and M = sup of the P_T samples in its meta,
-    and returned as it is while grid is the same object; another grid is
-    sampled afresh and replaces it.  Raises DataError if any sample is
-    nonpositive (zero allowed when bd.zero_lateral_ok) or if f and g
+    No (N, L) array is made.  The record is kept as bd.samples and returned
+    as it is while grid is the same object; another grid is sampled afresh
+    and replaces it.  Raises DataError if any sample is not finite, if any
+    is nonpositive (zero allowed when bd.zero_lateral_ok), or if f and g
     disagree at the lateral boundary at t = 0.
     """
     if bd.samples is not None and bd.samples.grid is grid:
         return bd.samples
-    vals = np.full((grid.n_nodes, grid.time_levels), np.nan)
-    vals[:, 0] = bd.f(grid.sample_pos)
+    slab = np.empty(grid.n_nodes)
+    slab[:] = bd.f(grid.sample_pos)
     bidx = grid.boundary_idx
     bpts = grid.sample_pos[bidx]
-    for j in range(1, grid.time_levels):
-        vals[bidx, j] = bd.g(bpts, grid.t[j])
-    samples = vals[grid.pt_mask]
-    m = float(np.min(samples))
-    M = float(np.max(samples))
+    ring = np.empty((bidx.size, grid.time_levels - 2))
+    for j in range(1, grid.time_levels - 1):
+        ring[:, j - 1] = bd.g(bpts, grid.t[j])
+    # np.minimum and np.maximum carry a NaN through
+    m = float(np.minimum(slab.min(), ring.min(initial=np.inf)))
+    M = float(np.maximum(slab.max(), ring.max(initial=-np.inf)))
+    if not (math.isfinite(m) and math.isfinite(M)):
+        raise DataError(
+            f"boundary data must be finite on P_T (min sample {m:.3g}, "
+            f"max sample {M:.3g})")
     floor_ok = 0.0 if bd.zero_lateral_ok else np.finfo(float).tiny
     if m < floor_ok:
         raise DataError(
@@ -591,8 +622,7 @@ def sample_boundary_data(bd, grid):
             f"f and g disagree at the corner (gap {gap:.3g}); "
             "data must be continuous on P_T"
         )
-    bd.samples = GridField(grid, vals, "phi", meta={"m": m, "M": M,
-                                                    "restricted_to": "P_T"})
+    bd.samples = BoundarySamples(grid, slab, ring, m, M)
     return bd.samples
 
 

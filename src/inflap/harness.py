@@ -89,17 +89,34 @@ def check_weak_max_principle(fld):
 
     Margin = the larger of (interior sup - P_T sup) and
     (P_T inf - interior inf); margins up to 1e-8 (1 + sup |P_T|) pass.
+    NaN samples are skipped; the extremes are masked reductions of the
+    values, so no copy of them is made.
     """
-    pt_vals = fld.values[fld.grid.pt_mask]
-    inner = fld.values[fld.grid.interior_idx, 1:]
-    sup_margin = float(np.nanmax(inner) - np.nanmax(pt_vals))
-    inf_margin = float(np.nanmin(pt_vals) - np.nanmin(inner))
+    vals, grid = fld.values, fld.grid
+    inner = grid.interior_mask[:, None]      # at the levels t > 0
+    pt_sup = _masked(np.fmax, vals, grid.pt_mask)
+    pt_inf = _masked(np.fmin, vals, grid.pt_mask)
+    inner_sup = _masked(np.fmax, vals[:, 1:], inner)
+    inner_inf = _masked(np.fmin, vals[:, 1:], inner)
+    sup_margin = float(inner_sup - pt_sup)
+    inf_margin = float(pt_inf - inner_inf)
     # the monotone scheme preserves bounds up to rounding; do not derive
     # the tolerance from the field itself (a corrupted field would then
     # approve its own corruption)
-    tol = 1e-8 * (1.0 + float(np.nanmax(np.abs(pt_vals))))
+    tol = 1e-8 * (1.0 + float(np.fmax(pt_sup, -pt_inf)))
     return _make("weak_max_principle", max(sup_margin, inf_margin), tol, 1,
                  sup_margin=sup_margin, inf_margin=inf_margin)
+
+
+def _masked(op, vals, where=True):
+    """np.nanmax (op np.fmax) or np.nanmin (np.fmin) of vals[where], the
+    mask broadcast to vals, without the copy; NaN if there are none."""
+    return op.reduce(vals, axis=None, where=where, initial=np.nan)
+
+
+def _sup(*parts):
+    """np.nanmax over all entries of the arrays parts, as a float."""
+    return float(np.fmax.reduce([_masked(np.fmax, p) for p in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +285,7 @@ def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
     band_fallback.
     """
     family_kw = family_kw or {}
-    hfield = sample_boundary_data(bd, grid)
+    h = sample_boundary_data(bd, grid)
     span = bd.M - bd.m
     res = solver.solve(grid, bd, config)
     if res.residual_summary is not None:
@@ -277,7 +294,6 @@ def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
         band, why = _field_band(res.field)
         reasons = ["the solve kept no residual summary", why]
         fallback = {"band_fallback": [r for r in reasons if r]}
-    pt = grid.pt_mask
     gaps = []
     worst = -np.inf
     for frac in eps_fracs:
@@ -290,10 +306,11 @@ def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
         m1 = float(np.max(lo.values - res.field.values)) - tol
         m2 = float(np.max(res.field.values - hi.values)) - tol
         worst = max(worst, m1, m2)
-        bgap = max(
-            float(np.nanmax((hfield.values - lo.values)[pt])),
-            float(np.nanmax((hi.values - hfield.values)[pt])),
-        )
+        # sup over P_T of h - lo and of hi - h, on the record's two parts
+        lo_slab, lo_ring = h.parts(lo.values)
+        hi_slab, hi_ring = h.parts(hi.values)
+        bgap = max(_sup(h.slab - lo_slab, h.ring - lo_ring),
+                   _sup(hi_slab - h.slab, hi_ring - h.ring))
         gaps.append(bgap)
     mono = all(a > b - 1e-12 for a, b in zip(gaps, gaps[1:]))
     margin = worst if mono else max(worst, 1.0)

@@ -353,15 +353,16 @@ def solve(grid, bd, config=None):
     (None for other data).  Raises SolverError if positivity is lost in
     phi mode (unless the data is a zero-lateral decay experiment, where
     values are clamped at 0) and StiffnessError if the CFL step collapses
-    (a clipped last substep does not count) or the march exceeds
-    SolverConfig.max_steps substeps.
+    (a clipped last substep does not count) or is NaN, because the values
+    are no longer finite, or if the march exceeds SolverConfig.max_steps
+    substeps.
     """
     config = config or SolverConfig()
     if config.variable == "eta" and bd.zero_lateral_ok:
         raise SolverError(
             "zero-lateral data needs variable='phi': eta = log phi is "
             "singular where phi vanishes")
-    hfield = sample_boundary_data(bd, grid)   # validated once per grid
+    f0 = sample_boundary_data(bd, grid).slab   # validated once per grid
     cap = _resolve_cap(grid, bd, config)
 
     L = grid.time_levels
@@ -378,7 +379,7 @@ def solve(grid, bd, config=None):
     # the interior values c are marched; lat holds every node's value for
     # the stencil reads
     values = np.empty((grid.n_nodes, L))
-    values[:, 0] = to_variable(hfield.values[:, 0])
+    values[:, 0] = to_variable(f0)
     lat = grid.lattice(values[:, 0])
     c = values[grid.interior_idx, 0]
     inner = grid.lo + grid.interior_pos
@@ -393,12 +394,15 @@ def solve(grid, bd, config=None):
             rhs, coef = _lattice_rhs_coef(grid, lat, c, config, cap)
             i = coef.argmax()
             dt = config.cfl / max(float(coef[i]), 1e-300)
-            if dt < least[0]:
-                if dt < 1e-13 * grid.T:   # the CFL step, before clipping
+            # written as "not >=" so that a NaN step, from values that are
+            # no longer finite, takes the collapsed-step branch
+            if not dt >= least[0]:
+                if not dt >= 1e-13 * grid.T:   # before clipping to a level
                     raise StiffnessError(
                         f"time step collapsed to {dt:.3e} at t={t_now:.6g}; "
-                        "the problem is too stiff for the explicit scheme"
-                    )
+                        + ("the values are no longer finite" if math.isnan(dt)
+                           else "the problem is too stiff for the explicit "
+                           "scheme"))
                 least = (dt, t_now, i, lat[grid.flat_off + inner[i]],
                          c[i])
             dt = min(dt, t_target - t_now)

@@ -233,9 +233,14 @@ def test_criterion_08_barrier_pins_and_signs():
         g=lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x[:, 0] + 2 * t) ** 2
         * np.exp(-t),
     )
-    hfield = sample_boundary_data(bd, grid)
+    hs = sample_boundary_data(bd, grid)
     eps = 0.05 * (bd.M - bd.m)
     rng = np.random.default_rng(808)
+    # P_T level by level: every node at t = 0 with the record's slab, then
+    # the ring nodes with each column of its ring block
+    ring = grid.sample_pos[grid.boundary_idx]
+    pt_levels = [(grid.sample_pos, grid.t[0], hs.slab)] + [
+        (ring, t, h) for t, h in zip(grid.t[1:-1], hs.ring.T)]
 
     barrs = [
         B.make_alpha_sub(np.array([0.5]), eps, bd, grid),
@@ -255,12 +260,8 @@ def test_criterion_08_barrier_pins_and_signs():
             off = 2 * eps if b.kind == "sub" else -2 * eps
             pin_worst = max(pin_worst, abs(
                 float(b.eval(y[None, :], s)[0]) - (target - off)))
-        for j, tj in enumerate(grid.t):
-            mask = grid.pt_mask[:, j]
-            if not mask.any():
-                continue
-            vals = b.eval(grid.sample_pos[mask], tj)
-            h = hfield.values[mask, j]
+        for pts, tj, h in pt_levels:
+            vals = b.eval(pts, tj)
             gap = vals - h if b.kind == "sub" else h - vals
             dom_worst = max(dom_worst, float(np.max(gap)))
         if b.region_residual is not None:

@@ -20,9 +20,9 @@ def setup_1d():
     g = build_grid(Domain.interval(0.0, 1.0), 0.1, 0.5, 11)
     bd = BoundaryData(f=lambda x: 1.0 + 0.8 * np.sin(np.pi * x[:, 0]) ** 2,
                       g=lambda x, t: np.ones(len(x)))
-    hfield = sample_boundary_data(bd, g)
+    hs = sample_boundary_data(bd, g)
     eps = 0.05 * (bd.M - bd.m)
-    return g, bd, hfield, eps
+    return g, bd, hs, eps
 
 
 @pytest.fixture(scope="module")
@@ -34,19 +34,24 @@ def setup_lateral():
         g=lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x[:, 0] + 2 * t) ** 2
         * np.exp(-t),
     )
-    hfield = sample_boundary_data(bd, g)
+    hs = sample_boundary_data(bd, g)
     eps = 0.05 * (bd.M - bd.m)
-    return g, bd, hfield, eps
+    return g, bd, hs, eps
 
 
-def pt_worst_violation(b, grid, hfield):
+def pt_levels(grid, hs):
+    """(points, t, h) for each level of P_T: every node at t = 0 with the
+    record's slab, then the ring nodes with each column of its ring
+    block."""
+    ring = grid.sample_pos[grid.boundary_idx]
+    return [(grid.sample_pos, grid.t[0], hs.slab)] + [
+        (ring, t, h) for t, h in zip(grid.t[1:-1], hs.ring.T)]
+
+
+def pt_worst_violation(b, grid, hs):
     worst = -np.inf
-    for j, tj in enumerate(grid.t):
-        mask = grid.pt_mask[:, j]
-        if not mask.any():
-            continue
-        vals = b.eval(grid.sample_pos[mask], tj)
-        h = hfield.values[mask, j]
+    for pts, t, h in pt_levels(grid, hs):
+        vals = b.eval(pts, t)
         gap = vals - h if b.kind == "sub" else h - vals
         worst = max(worst, float(np.max(gap)))
     return worst
@@ -61,7 +66,7 @@ def pin_error(b, bd):
 
 class TestCatalogPinsAndDomination:
     def test_alpha_beta_families(self, setup_1d):
-        g, bd, hfield, eps = setup_1d
+        g, bd, hs, eps = setup_1d
         makers = [
             (B.make_alpha_sub, np.array([0.5])),
             (B.make_alpha_sup, np.array([0.2])),
@@ -70,7 +75,7 @@ class TestCatalogPinsAndDomination:
         ]
         for maker, y in makers:
             b = maker(y, eps, bd, g)
-            assert pt_worst_violation(b, g, hfield) <= 1e-12
+            assert pt_worst_violation(b, g, hs) <= 1e-12
             if not b.spec.constant:
                 assert pin_error(b, bd) <= 1e-9
 
@@ -98,15 +103,15 @@ class TestCatalogPinsAndDomination:
             assert not np.array_equal(fresh, fld[:, 3])
 
     def test_gamma_families(self, setup_lateral):
-        g, bd, hfield, eps = setup_lateral
+        g, bd, hs, eps = setup_lateral
         for maker in (B.make_gamma_sub_cone, B.make_gamma_sup_cusp):
             b = maker(np.array([0.0]), 0.25, eps, bd, g)
             assert not b.spec.constant
             assert pin_error(b, bd) <= 1e-9
-            assert pt_worst_violation(b, g, hfield) <= 1e-12
+            assert pt_worst_violation(b, g, hs) <= 1e-12
 
     def test_constant_conventions(self, setup_1d):
-        g, bd, hfield, eps = setup_1d
+        g, bd, hs, eps = setup_1d
         # anchors where the datum equals m (sub) or M (super) return the
         # constant barrier
         sub = B.make_beta_sub(np.array([0.0]), eps, bd, g)
@@ -544,15 +549,15 @@ class TestPerronFamilies:
         assert np.all(full.values <= inf_f.values + 1e-12)
 
     def test_boundary_gap_shrinks_with_eps(self, setup_1d):
-        g, bd, hfield, _ = setup_1d
+        g, bd, hs, _ = setup_1d
         gaps = []
         for frac in (0.1, 0.03, 0.01):
             eps = frac * (bd.M - bd.m)
             sup = B.perron_family_sup(
                 B.build_sub_family(g, bd, eps, interior_stride=1,
                                    time_stride=2), g)
-            gap = np.nanmax((hfield.values - sup.values)[g.pt_mask])
-            gaps.append(float(gap))
+            slab, ring = hs.parts(sup.values)
+            gaps.append(max(np.max(hs.slab - slab), np.max(hs.ring - ring)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 2 * 0.01 * (bd.M - bd.m) + 0.05 * (bd.M - bd.m)
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from inflap import grids
+from inflap import catalog, grids
 from inflap.grids import (
     BoundaryData,
     DataError,
@@ -136,8 +136,8 @@ class TestBoundaryData:
     def test_constant_data(self):
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
         bd = const_data(1.0)
-        fld = sample_boundary_data(bd, g)
-        assert np.all(fld.values[g.pt_mask] == 1.0)
+        hs = sample_boundary_data(bd, g)
+        assert np.all(hs.slab == 1.0) and np.all(hs.ring == 1.0)
         assert bd.m == bd.M == 1.0
 
     def test_linear_data_bounds(self):
@@ -161,9 +161,9 @@ class TestBoundaryData:
         with pytest.raises(DataError):
             sample_boundary_data(bd, g)
         bd.zero_lateral_ok = True
-        fld = sample_boundary_data(bd, g)
+        hs = sample_boundary_data(bd, g)
         assert bd.m == 0.0
-        assert fld.meta["M"] == bd.M
+        assert hs.M == bd.M
 
     def test_corner_mismatch_rejected(self):
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
@@ -172,14 +172,20 @@ class TestBoundaryData:
         with pytest.raises(DataError):
             sample_boundary_data(bd, g)
 
-    def test_nan_off_pt(self):
+    def test_record_holds_pt_only(self):
+        # f at every node at t = 0 and g at the ring nodes on the levels
+        # with 0 < t < T: as many samples as P_T has entries, no more
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
-        fld = sample_boundary_data(const_data(2.0), g)
-        inner = fld.values[g.interior_idx, 1:]
-        assert np.all(np.isnan(inner))
-        # lateral t=T slab is stored (it is data for the solver) even though
-        # it is not in P_T
-        assert np.all(fld.values[g.boundary_idx, -1] == 2.0)
+        hs = sample_boundary_data(const_data(2.0), g)
+        assert hs.slab.shape == (g.n_nodes,)
+        assert hs.ring.shape == (g.boundary_idx.size, g.time_levels - 2)
+        assert hs.slab.size + hs.ring.size == int(g.pt_mask.sum())
+        # parts() reads an (N, L) array in the same layout
+        vals = np.arange(g.n_nodes * g.time_levels, dtype=float).reshape(
+            g.n_nodes, g.time_levels)
+        slab, ring = hs.parts(vals)
+        assert np.array_equal(np.sort(np.concatenate((slab, ring.ravel()))),
+                              vals[g.pt_mask])
 
     def test_sampled_once_per_grid(self):
         # the field is kept on the data: the same grid object gets it back,
@@ -189,23 +195,84 @@ class TestBoundaryData:
         bd = BoundaryData(f=lambda x: 1.0 + x[:, 0],
                           g=lambda x, t: 1.0 + x[:, 0])
         assert bd.samples is None and bd.m is None and bd.M is None
-        fld = sample_boundary_data(bd, g1)
-        assert sample_boundary_data(bd, g1) is fld is bd.samples
+        hs = sample_boundary_data(bd, g1)
+        assert sample_boundary_data(bd, g1) is hs is bd.samples
         assert (bd.m, bd.M) == (1.0, 2.0)
-        fld2 = sample_boundary_data(bd, g2)
-        assert bd.samples is fld2 and fld2.grid is g2
+        hs2 = sample_boundary_data(bd, g2)
+        assert bd.samples is hs2 and hs2.grid is g2
         assert (bd.m, bd.M) == (1.0, 3.0)
         # an equal grid that is another object is sampled afresh
         g1b = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
-        fld1b = sample_boundary_data(bd, g1b)
-        assert fld1b is not fld
-        assert np.array_equal(fld1b.values, fld.values, equal_nan=True)
+        hs1b = sample_boundary_data(bd, g1b)
+        assert hs1b is not hs
+        assert np.array_equal(hs1b.slab, hs.slab)
+        assert np.array_equal(hs1b.ring, hs.ring)
         assert (bd.m, bd.M) == (1.0, 2.0)
         # m and M are read off the record, and a copy of the data starts
         # without one
         with pytest.raises(AttributeError):
             bd.m = 0.5
         assert dataclasses.replace(bd, name="copy").samples is None
+
+
+    def test_nonfinite_samples_rejected(self):
+        # a NaN initial datum at one node, or an infinite lateral datum at
+        # one ring node, is a DataError, not a NaN or infinite m or M
+        g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
+
+        def f_nan(x):
+            v = np.full(len(x), 1.0)
+            v[np.isclose(x[:, 0], 0.5)] = np.nan
+            return v
+
+        def g_inf(x, t):
+            v = np.full(len(x), 1.0)
+            v[0] = np.inf if t > 0 else 1.0
+            return v
+
+        for bd in (BoundaryData(f=f_nan, g=lambda x, t: np.ones(len(x))),
+                   BoundaryData(f=lambda x: np.ones(len(x)), g=g_inf)):
+            with pytest.raises(DataError, match="finite"):
+                sample_boundary_data(bd, g)
+            assert bd.samples is None
+
+    @pytest.mark.parametrize("dom,h,L", [
+        (Domain.interval(0.0, 1.0), 0.05, 11),
+        (Domain.box([(-0.5, 0.5)] * 2), 0.1, 7),
+        (Domain.box([(-0.5, 0.5)] * 3), 0.125, 5),
+        (Domain.ball((0.0, 0.0), 1.0), 0.1, 6),
+        (Domain.ball((0.0, 0.0, 0.0), 1.0), 0.25, 4),
+    ], ids=["interval", "box2d", "box3d", "ball2d", "ball3d"])
+    def test_record_is_h_on_pt(self, dom, h, L):
+        # the slab and the ring block are f and g at the P_T nodes of each
+        # level bit for bit, and m, M their extremes
+        g = build_grid(dom, h, 0.5, L, min_interior_per_axis=1)
+        bd = catalog.make_data("gaussian-bump",
+                               {"center": [0.1, -0.2, 0.3][:g.dim]})
+        bd.g = lambda x, t: bd.f(x) * (1.0 + 0.5 * t * x[:, 0] ** 2)
+        want = np.full((g.n_nodes, L), np.nan)
+        for j in range(L):
+            at = g.pt_mask[:, j]
+            pts = g.sample_pos[at]
+            want[at, j] = bd.f(pts) if j == 0 else bd.g(pts, g.t[j])
+        hs = sample_boundary_data(bd, g)
+        slab, ring = hs.parts(want)
+        assert np.array_equal(hs.slab, slab) and np.array_equal(hs.ring, ring)
+        assert (hs.m, hs.M) == (np.nanmin(want), np.nanmax(want))
+
+    def test_sampling_heap_is_pt_sized(self, traced_peak):
+        # on the box3d-growth grid P_T holds 0.28 of an (N, L) field, and
+        # the sampling's traced heap, record included, stays within 0.4 of
+        # one (the NaN-padded field took 1.37).  The datum is cheap to
+        # evaluate: the growing profile's own evaluation on all N nodes
+        # peaks at 0.63 of a field, which would measure f, not the sampler
+        g = build_grid(Domain.box([(-0.5, 0.5)] * 3), 0.05, 1.0, 21)
+        bd = BoundaryData(f=lambda x: 1.0 + x[:, 0] ** 2,
+                          g=lambda x, t: (1.0 + x[:, 0] ** 2) * (1.0 + t))
+        hs, peak = traced_peak(sample_boundary_data, bd, g)
+        field_bytes = g.pt_mask.size * 8
+        assert hs.slab.nbytes + hs.ring.nbytes <= 0.3 * field_bytes
+        assert peak <= 0.4 * field_bytes
 
 
 class TestGridField:

@@ -45,6 +45,27 @@ class TestWeakMaxPrinciple:
         assert not rep.passed and rep.worst_violation > 1.0
 
 
+def test_weak_max_principle_makes_no_copy(traced_peak):
+    # the margins and the tolerance equal those of np.nanmax/np.nanmin
+    # over copies of the P_T and interior values bit for bit, NaN-holed
+    # fields included, and the check's traced heap stays far below one
+    # (N, L) field: 0.05 of one on the box3d-growth grid, the masked
+    # reductions' iteration buffers (the copies took 1.3 fields)
+    g = build_grid(Domain.box([(-0.5, 0.5)] * 3), 0.05, 1.0, 21)
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(-2.0, 1.5, (g.n_nodes, g.time_levels))
+    holed = np.where(rng.random(vals.shape) < 0.1, np.nan, vals)
+    for v in (vals, holed, np.abs(vals)):
+        rep, peak = traced_peak(H.check_weak_max_principle, GridField(g, v))
+        pt, inner = v[g.pt_mask], v[g.interior_idx, 1:]
+        assert rep.details["sup_margin"] == float(np.nanmax(inner)
+                                                  - np.nanmax(pt))
+        assert rep.details["inf_margin"] == float(np.nanmin(pt)
+                                                  - np.nanmin(inner))
+        assert rep.tolerance == 1e-8 * (1.0 + float(np.nanmax(np.abs(pt))))
+        assert peak <= 0.1 * v.nbytes
+
+
 class TestComparison:
     def test_barrier_pair(self, smooth_solve):
         _, bd, g = smooth_solve

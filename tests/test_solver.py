@@ -15,8 +15,8 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from inflap import catalog, radial, solver, transforms
-from inflap.grids import BoundaryData, Domain, GridField, build_grid, \
-    sample_boundary_data
+from inflap.grids import BoundaryData, DataError, Domain, GridField, \
+    build_grid, sample_boundary_data
 
 LAMBDA_B1 = radial.ball_eigenvalue(1.0)  # interval half-width 1 or unit ball
 
@@ -278,6 +278,28 @@ class TestErrors:
                            match="time step collapsed"):
             solver.solve(g, eigen_bd(psi), cfg)
 
+    def test_nonfinite_substep_raises(self):
+        # a lateral datum that is NaN between the stored levels spreads
+        # NaN into the march; its CFL step is NaN and the solve raises
+        # instead of returning NaN values with positivity_ok set
+        g = build_grid(Domain.interval(0, 1), 0.1, 0.1, 3)
+
+        def lateral(x, t):
+            return np.full(len(x), 1.0 if np.isclose(t, g.t).any()
+                           else np.nan)
+
+        bd = BoundaryData(f=lambda x: 1.0 + 0.5 * np.sin(np.pi * x[:, 0]),
+                          g=lateral)
+        cfg = solver.SolverConfig(variable="eta", summarize_residual=False)
+        with pytest.raises(solver.SolverError, match="no longer finite"):
+            solver.solve(g, bd, cfg)
+        # a NaN initial datum stops at the sampling, before the march
+        bd = BoundaryData(
+            f=lambda x: np.where(np.isclose(x[:, 0], 0.5), np.nan, 1.0),
+            g=lambda x, t: np.ones(len(x)))
+        with pytest.raises(DataError, match="finite"):
+            solver.solve(g, bd, cfg)
+
 
 def test_solve_result_metadata():
     g = build_grid(Domain.interval(0, 1), 0.1, 0.3, 4)
@@ -410,7 +432,7 @@ def test_solve_records_its_binding_step():
         assert binding["irregular"] is irregular
         assert binding["capped"] is capped
         assert binding["t"] == 0.0
-        v0 = sample_boundary_data(bd, g).values[:, 0]
+        v0 = sample_boundary_data(bd, g).slab
         v0 = np.log(v0) if variable == "eta" else v0
         assert binding["dt"] == solver.cfl_dt(g, v0, cfg,
                                               res.field.meta["grad_cap"])

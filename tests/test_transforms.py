@@ -8,7 +8,6 @@ neighborhood of the center.
 """
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,7 +233,7 @@ def test_lattice_residual_matches_gather_oracle(dom, h):
     (Domain.box([(-0.5, 0.5)] * 3), 0.05),
     (Domain.ball((0.0, 0.0), 1.0), 0.025),
 ], ids=["box3d", "disk"])
-def test_residual_report_working_set(dom, h):
+def test_residual_report_working_set(dom, h, traced_peak):
     # a report holds one level at a time: beyond its own values its traced
     # heap peak stays within one (N, L) field, and the heuristic band's
     # within 0.05 of one (the box3d-growth grid and the ball-decay disk;
@@ -246,24 +245,13 @@ def test_residual_report_working_set(dom, h):
     eta = tf.to_eta(phi)
     field_bytes = g.n_nodes * g.time_levels * 8
     for report, fld in ((tf.residual_Pi, phi), (tf.residual_Gamma, eta)):
-        rep, peak = _traced_peak(report, fld)
+        rep, peak = traced_peak(report, fld)
         assert np.isfinite(rep.band)
         assert peak <= rep.values.nbytes + field_bytes
     # the heuristic band reads the extremes of the values without a copy
-    band, peak = _traced_peak(tf.heuristic_band, g, phi.values)
+    band, peak = traced_peak(tf.heuristic_band, g, phi.values)
     assert np.isfinite(band)
     assert peak <= 0.05 * field_bytes
-
-
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak of the heap it traced beyond its start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 class TestSeparable:
