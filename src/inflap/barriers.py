@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import GridField, sample_boundary_data
+from .grids import GridField, _node_at, sample_boundary_data
 from .quadrature import bisect_monotone, decay_table, grow_table
 from .radial import RadialProfile, decaying_profile, growing_profile
 
@@ -230,8 +230,11 @@ def _glued(kind, family, y, eps, bd, grid):
         if sub:
             return base * math.exp(-rate * t / 3.0)
         # super rates near the anchor can be enormous (lam ~ delta^-4); the
-        # clipped e^700 ~ 1e304 still dominates any datum
-        return base * math.exp(min(rate * t / 3.0, 700.0))
+        # clipped e^700 ~ 1e304 still dominates any datum, and a product
+        # past the largest float saturates there instead of reaching inf
+        with np.errstate(over="ignore"):
+            return np.minimum(base * math.exp(min(rate * t / 3.0, 700.0)),
+                              np.finfo(float).max)
 
     return Barrier(BarrierSpec(name, anchor, eps, derived), kind, evaluate)
 
@@ -726,13 +729,7 @@ def _frozen_mask(grid):
 
 
 def _envelope(fld, max_sweeps, lift, other):
-    """Iterate v <- lift(v, other-sweep(lift-sweep(v))) to a fixed point.
-
-    Raises ValueError on non-finite entries: a NaN would spread over every
-    free entry and keep the iteration from reaching its fixed point.
-    """
-    if not np.all(np.isfinite(fld.values)):
-        raise ValueError("envelopes need a finite field")
+    """Iterate v <- lift(v, other-sweep(lift-sweep(v))) to a fixed point."""
     grid = fld.grid
     frozen = _frozen_mask(grid)
     vals = fld.values.copy()
@@ -835,17 +832,17 @@ def barrier_catalog_json(barrs):
 def _two_ring(grid, node):
     """The nodes at most two steps from node, in increasing order, where a
     step joins two nodes at most one lattice step apart along every axis
-    (the stencil of an interior node) of which at least one is interior."""
-    z = np.rint((grid.pos - grid.pos[0]) / grid.h).astype(np.int64)
+    (the stencil of an interior node) of which at least one is interior.
+    A step is a flat shift on the lattice layout; one from a non-interior
+    node that wraps into another row lands on a lattice edge, never
+    interior, so keeping only interior nodes there drops it."""
+    node_at = _node_at(grid.node_flat, grid.lattice_size)
     inside = grid.interior_mask
-    ring = [node]
+    ring = np.array([node])
     for _ in range(2):
-        near = np.zeros(grid.n_nodes, dtype=bool)
-        for i in ring:
-            step = np.max(np.abs(z - z[i]), axis=1) <= 1
-            near |= step if inside[i] else step & inside
-            near[i] = True
-        ring = np.flatnonzero(near)
+        nbr = node_at[grid.node_flat[ring, None] + grid.flat_off]
+        step = (nbr >= 0) & (inside[ring, None] | inside[nbr])
+        ring = np.union1d(ring, nbr[step])
     return ring.tolist()
 
 
@@ -869,8 +866,6 @@ def jet_touch_test(fld, node, level, kind="sub"):
     for j in levels:
         for i in nodes:
             if i == node and j == level:
-                continue
-            if not np.isfinite(fld.values[i, j]):
                 continue
             pts.append(grid.sample_pos[i] - x0)
             dts.append(grid.t[j] - t0)

@@ -51,7 +51,8 @@ plus the ring entries at levels 1 .. L-2, the ones with t < T (the t = T
 ring slab is not part of P_T, matching the half-open lateral boundary).
 The boundary datum is sampled on P_T alone, at its own size: a
 ``BoundarySamples`` record holds f on the initial slab as an (N,) array
-and g at the ring nodes on levels 1 .. L-2 as an (Nb, L-2) block.
+and g at the ring nodes on levels 1 .. L-2 as an (Nb, L-2) block.  A
+``GridField`` is finite by construction: NaN or inf raises ValueError.
 
 Artifacts are written by two functions: ``write_csv`` (numbers as %.17g)
 and ``write_json`` (numpy values as Python numbers, sorted keys, one-space
@@ -497,7 +498,8 @@ def build_grid(domain, h, T, time_levels, min_interior_per_axis=3):
 
 @dataclass
 class GridField:
-    """Scalar samples on a cylinder grid: values[node, level].
+    """Scalar samples on a cylinder grid: values[node, level], all finite
+    (construction raises ValueError on a NaN or an infinite value).
 
     variable_tag records whether the samples are the solution phi itself
     or its logarithm eta; the transforms module converts between the two.
@@ -515,6 +517,10 @@ class GridField:
             raise ValueError(f"field shape {self.values.shape} != {expect}")
         if self.variable_tag not in ("phi", "eta"):
             raise ValueError("variable_tag must be 'phi' or 'eta'")
+        lo, hi = self.values.min(), self.values.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"field values must be finite (min {lo:.3g}, "
+                             f"max {hi:.3g})")
 
     @staticmethod
     def from_function(grid, fn, variable_tag="phi"):
@@ -647,15 +653,13 @@ def grid_to_json(grid):
     }
 
 
-def field_to_csv(fld, path, skip_nan=True):
-    """CSV rows (x..., t, value) for every stored sample, level by level."""
+def field_to_csv(fld, path):
+    """CSV rows (x..., t, value) for every sample, level by level."""
     grid = fld.grid
-    kept = ~np.isnan(fld.values.T) if skip_nan else np.ones(
-        (grid.time_levels, grid.n_nodes), dtype=bool)
-    level, node = np.nonzero(kept)
     write_csv(path, ",".join(f"x{i}" for i in range(grid.dim)) + ",t,value",
-              np.column_stack((grid.sample_pos[node], grid.t[level],
-                               fld.values[node, level])))
+              np.column_stack((np.tile(grid.sample_pos, (len(grid.t), 1)),
+                               np.repeat(grid.t, grid.n_nodes),
+                               fld.values.T.ravel())))
 
 
 def write_csv(path, header, rows):

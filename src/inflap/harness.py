@@ -2,13 +2,15 @@
 
 Each check consumes artifacts produced by the other modules (solver runs,
 barriers, exact profiles) and returns a PropertyReport with the worst
-signed violation margin.  Comparison and sandwich tolerances derive from
-the residual band of the fields involved; the others are fixed: 1e-8
-relative in the weak maximum principle, 1e-9 in min propagation, 10%
-(DECAY_SLOPE_RTOL) on the decay slope, 1e-6 relative in the staircase
-bound, 1e-12 in the bump improvement (1e-7 in its seam jet test) and
-1e-9 in the large-ball surrogate.  Every check has a negative control in
-the test suite: the harness must notice corrupted inputs.
+signed violation margin, a plain max or min of finite fields (masked
+with ``where=``, not taken over copies).  Comparison and sandwich
+tolerances derive from the residual band of the fields involved; the
+others are fixed: 1e-8 relative in the weak maximum principle, 1e-9 in
+min propagation, 10% (DECAY_SLOPE_RTOL) on the decay slope, 1e-6
+relative in the staircase bound, 1e-12 in the bump improvement (1e-7 in
+its seam jet test) and 1e-9 in the large-ball surrogate.  Every check
+has a negative control in the test suite: the harness must notice
+corrupted inputs.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ def _field_band(fld):
     """Residual band of a field (used as the tolerance unit) and None, or
     the heuristic band and the reason no residual could be formed."""
     try:
-        if fld.variable_tag == "phi" and np.all(
-                fld.values[np.isfinite(fld.values)] > 0):
+        if fld.variable_tag == "phi" and fld.values.min() > 0:
             rep = transforms.residual_Gamma(transforms.to_eta(fld))
         else:
             rep = transforms.residual_Pi(fld)
@@ -89,34 +90,21 @@ def check_weak_max_principle(fld):
 
     Margin = the larger of (interior sup - P_T sup) and
     (P_T inf - interior inf); margins up to 1e-8 (1 + sup |P_T|) pass.
-    NaN samples are skipped; the extremes are masked reductions of the
-    values, so no copy of them is made.
     """
     vals, grid = fld.values, fld.grid
-    inner = grid.interior_mask[:, None]      # at the levels t > 0
-    pt_sup = _masked(np.fmax, vals, grid.pt_mask)
-    pt_inf = _masked(np.fmin, vals, grid.pt_mask)
-    inner_sup = _masked(np.fmax, vals[:, 1:], inner)
-    inner_inf = _masked(np.fmin, vals[:, 1:], inner)
+    pt, inner = grid.pt_mask, grid.interior_mask[:, None]   # inner: t > 0
+    pt_sup = vals.max(where=pt, initial=-np.inf)
+    pt_inf = vals.min(where=pt, initial=np.inf)
+    inner_sup = vals[:, 1:].max(where=inner, initial=-np.inf)
+    inner_inf = vals[:, 1:].min(where=inner, initial=np.inf)
     sup_margin = float(inner_sup - pt_sup)
     inf_margin = float(pt_inf - inner_inf)
     # the monotone scheme preserves bounds up to rounding; do not derive
     # the tolerance from the field itself (a corrupted field would then
     # approve its own corruption)
-    tol = 1e-8 * (1.0 + float(np.fmax(pt_sup, -pt_inf)))
+    tol = 1e-8 * (1.0 + float(max(pt_sup, -pt_inf)))
     return _make("weak_max_principle", max(sup_margin, inf_margin), tol, 1,
                  sup_margin=sup_margin, inf_margin=inf_margin)
-
-
-def _masked(op, vals, where=True):
-    """np.nanmax (op np.fmax) or np.nanmin (np.fmin) of vals[where], the
-    mask broadcast to vals, without the copy; NaN if there are none."""
-    return op.reduce(vals, axis=None, where=where, initial=np.nan)
-
-
-def _sup(*parts):
-    """np.nanmax over all entries of the arrays parts, as a float."""
-    return float(np.fmax.reduce([_masked(np.fmax, p) for p in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +126,30 @@ def check_comparison(u_fld, v_fld, tol=None, ratio_mode=False):
         reasons = [why for _, why in bands if why]
         if reasons:
             fallback["band_fallback"] = reasons
-    pre_gap = float(np.nanmax((u_fld.values - v_fld.values)[pt]))
+    u, v = u_fld.values, v_fld.values
+    gap = u - v
+    pre_gap = float(gap.max(where=pt, initial=-np.inf))
     if pre_gap > tol:
         return _make("comparison", np.nan, tol, 0, vacuous=True,
                      skipped="precondition u <= v on P_T fails",
                      precondition_gap=pre_gap, **fallback)
-    if ratio_mode:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = u_fld.values / v_fld.values
-        pt_sup = np.nanmax(np.where(pt, ratio, -np.inf))
-        inner_sup = np.nanmax(ratio[grid.interior_idx, 1:])
-        margin = float(inner_sup - pt_sup)
-        rtol = tol / max(float(np.nanmin(np.abs(v_fld.values))), 1e-12)
-        return _make("comparison_ratio", margin, rtol, 1,
-                     pt_sup=float(pt_sup), inner_sup=float(inner_sup),
-                     **fallback)
-    margin = float(np.nanmax(u_fld.values - v_fld.values))
-    return _make("comparison", margin, tol, 1, precondition_gap=pre_gap,
+    if not ratio_mode:
+        return _make("comparison", float(gap.max()), tol, 1,
+                     precondition_gap=pre_gap, **fallback)
+    # the ratio reuses the buffer of u - v: first |v|, for the tolerance's
+    # min |v|, then u / v.  0/0 is NaN where v vanishes with u (zero
+    # lateral data), and the sups skip it
+    ratio = np.abs(v, out=gap)
+    rtol = tol / max(float(ratio.min()), 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(u, v, out=ratio)
+    pt_sup = np.fmax.reduce(ratio, axis=None, where=pt, initial=-np.inf)
+    inner_sup = np.fmax.reduce(ratio[:, 1:], axis=None,
+                               where=grid.interior_mask[:, None],
+                               initial=np.nan)
+    margin = float(inner_sup - pt_sup)
+    return _make("comparison_ratio", margin, rtol, 1,
+                 pt_sup=float(pt_sup), inner_sup=float(inner_sup),
                  **fallback)
 
 
@@ -173,7 +168,7 @@ def check_min_propagation(fld, anchor=None):
     """
     tol = 1e-9
     grid = fld.grid
-    m_pt = float(np.nanmin(fld.values[grid.pt_mask]))
+    m_pt = float(fld.values.min(where=grid.pt_mask, initial=np.inf))
     if anchor is None:
         inner = fld.values[grid.interior_idx, 1:]
         flat = np.argmin(inner)
@@ -219,7 +214,7 @@ def fit_decay_slope(result):
     """Least-squares slope of log sup phi over the trailing half of the
     levels (None if under 20 levels), and sup phi per level."""
     fld = result.field
-    sup_t = np.nanmax(fld.values, axis=0)
+    sup_t = fld.values.max(axis=0)
     L = fld.grid.time_levels
     idx = np.arange(L // 2, L)
     if idx.size < 20:
@@ -252,9 +247,8 @@ def check_decay_rate(result, lam_domain, data_kind="generic"):
 def check_staircase_bound(result, staircase):
     """Solver field at T_(k+1) <= psi / 2^k for each slab, within
     1e-6 sup |field| + 1e-12."""
-    fld = result.field
-    grid = fld.grid
-    tol = 1e-6 * float(np.nanmax(np.abs(fld.values))) + 1e-12
+    grid, vals = result.field.grid, result.field.values
+    tol = 1e-6 * float(max(vals.max(), -vals.min())) + 1e-12
     worst = -np.inf
     ks = []
     for k in range(1, staircase.n_slabs + 1):
@@ -263,7 +257,7 @@ def check_staircase_bound(result, staircase):
             break
         j = int(np.argmin(np.abs(grid.t - tk1)))
         envelope = staircase.envelope_at(grid.sample_pos, k)
-        worst = max(worst, float(np.max(fld.values[:, j] - envelope)))
+        worst = max(worst, float(np.max(vals[:, j] - envelope)))
         ks.append(k)
     if not ks:
         return _make("staircase_bound", np.nan, tol, 0, vacuous=True,
@@ -309,10 +303,12 @@ def check_sandwich(grid, bd, config=None, eps_fracs=(0.1, 0.03, 0.01),
         # sup over P_T of h - lo and of hi - h, on the record's two parts
         lo_slab, lo_ring = h.parts(lo.values)
         hi_slab, hi_ring = h.parts(hi.values)
-        bgap = max(_sup(h.slab - lo_slab, h.ring - lo_ring),
-                   _sup(hi_slab - h.slab, hi_ring - h.ring))
-        gaps.append(bgap)
-    mono = all(a > b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+        gaps.append(float(max(p.max(initial=-np.inf) for p in (
+            h.slab - lo_slab, h.ring - lo_ring,
+            hi_slab - h.slab, hi_ring - h.ring))))
+    # relative slack: the gaps scale with the data (phi -> c phi)
+    mono = all(a >= b - 1e-12 * max(1.0, abs(b))
+               for a, b in zip(gaps, gaps[1:]))
     margin = worst if mono else max(worst, 1.0)
     return _make("perron_sandwich", margin, 0.0, len(eps_fracs),
                  boundary_gaps=gaps, gap_monotone=mono, band=band,

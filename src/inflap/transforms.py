@@ -52,18 +52,16 @@ class TransformError(ValueError):
 
 
 def to_eta(fld):
-    """eta = log(phi).  Requires positive phi wherever values are finite."""
+    """eta = log(phi).  Requires positive phi."""
     if fld.variable_tag != "phi":
         raise TransformError("to_eta expects a phi field")
-    vals = fld.values
-    finite = np.isfinite(vals)
-    if np.any(vals[finite] <= 0.0):
+    low = fld.values.min()
+    if not low > 0.0:
         raise TransformError(
-            "phi must exceed 0.0 everywhere for the log transform "
-            f"(min {np.min(vals[finite]):.3g})"
+            f"phi must exceed 0.0 everywhere for the log transform "
+            f"(min {low:.3g})"
         )
-    out = np.where(finite, np.log(np.where(finite, vals, 1.0)), np.nan)
-    return GridField(fld.grid, out, "eta", dict(fld.meta))
+    return GridField(fld.grid, np.log(fld.values), "eta", dict(fld.meta))
 
 
 def to_phi(fld):
@@ -135,8 +133,7 @@ class ResidualReport:
     corrections) and centered-in-time levels.  ``band`` is 10x the
     a-posteriori truncation estimate from a doubled-spacing pass; tests
     compare residual magnitudes against it (heuristic_band's with fewer
-    than 5 levels).  values is the one (Ni, L) array a report makes;
-    sup_norm and the band skip NaN samples, as nanmax does.
+    than 5 levels).  values is the one (Ni, L) array a report makes.
     """
 
     values: np.ndarray
@@ -179,7 +176,7 @@ def _level_residual(grid, vals, j, step, tag, sigma, rows=slice(None)):
 def heuristic_band(grid, vals):
     """10 (h + dt) (1 + max |vals|)^3, the residual band used where no
     h-versus-2h band can be formed."""
-    scale = 1.0 + float(max(np.nanmax(vals), -np.nanmin(vals)))
+    scale = 1.0 + float(max(np.max(vals), -np.min(vals)))
     return 10.0 * (grid.h + grid.dt_level) * scale ** 3
 
 

@@ -1,5 +1,7 @@
 """Barrier catalog tests: pins, domination, residual signs, instruments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -473,12 +475,40 @@ def test_envelopes_match_adjacency_oracle(dom, h):
 
 
 def test_two_ring_matches_adjacency_oracle():
-    g = build_grid(Domain.ball((0.0, 0.0), 1.0), 0.25, 0.5, 5)
-    adj = _space_adjacency(g)
-    for node in range(g.n_nodes):
-        ring1 = set(adj[node])
-        ring2 = set().union(*(adj[i] for i in ring1))
-        assert B._two_ring(g, node) == sorted(ring2 | ring1 | {node})
+    # on every grid kind, lattice-edge ring nodes included (their flat
+    # shifts wrap into the next lattice row)
+    for dom, h in ((Domain.ball((0.0, 0.0), 1.0), 0.25),
+                   (Domain.interval(-1.0, 1.0), 0.25),
+                   (Domain.box([(0.0, 1.0), (0.0, 0.5), (0.0, 0.75)]), 0.125),
+                   (Domain.ball((0.1, 0.0, -0.2), 1.0), 0.4)):
+        g = build_grid(dom, h, 0.5, 5)
+        adj = _space_adjacency(g)
+        for node in range(g.n_nodes):
+            ring1 = set(adj[node])
+            ring2 = set().union(*(adj[i] for i in ring1))
+            assert B._two_ring(g, node) == sorted(ring2 | ring1 | {node})
+
+
+@pytest.mark.parametrize("maker,y,width", [
+    (B.make_beta_sup, 0.0, 0.3), (B.make_alpha_sup, 0.48, 0.05)])
+def test_glued_super_barriers_stay_finite_on_large_data(maker, y, width):
+    # base e^(rate t / 3), the time factor clipped at e^700 ~ 1e304,
+    # overflowed to inf once the datum passed ~1e4; the values saturate at
+    # the largest float instead, with no warning, and stay pinned and above
+    # h on P_T
+    from inflap.catalog import make_data
+
+    g = build_grid(Domain.interval(0.0, 1.0), 0.02, 1.0, 11)
+    bd = make_data("gaussian-bump", {"base": 1e5, "amp": 5e4,
+                                     "width": width, "center": [0.5]})
+    hs = sample_boundary_data(bd, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = maker([y], 0.01 * (bd.M - bd.m), bd, g)
+        vals = b.eval_field(g).values
+    assert vals.max() == np.finfo(float).max
+    assert pin_error(b, bd) <= 1e-9 * bd.M
+    assert pt_worst_violation(b, g, hs) <= 0.0
 
 
 class TestEnvelopes:

@@ -283,6 +283,23 @@ class TestGridField:
         with pytest.raises(ValueError):
             GridField(g, np.zeros((g.n_nodes, g.time_levels)), "psi")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, bad):
+        g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 3)
+        vals = np.ones((g.n_nodes, 3))
+        vals[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridField(g, vals)
+
+    def test_finite_check_makes_no_copy(self, traced_peak):
+        # two reductions over the values: within 0.01 of an (N, L) field
+        # of heap on the box3d-growth grid
+        g = build_grid(Domain.box([(-0.5, 0.5)] * 3), 0.05, 1.0, 21)
+        vals = np.ones((g.n_nodes, g.time_levels))
+        fld, peak = traced_peak(GridField, g, vals)
+        assert fld.values is vals
+        assert peak <= 0.01 * vals.nbytes
+
     def test_from_function(self):
         g = build_grid(Domain.interval(0, 1), 0.25, 1.0, 5)
         fld = GridField.from_function(g, lambda x, t: x[:, 0] + t)
@@ -534,15 +551,13 @@ def test_lattice_layout_and_stencil_extremes(name):
                           np.all(g.interior_mask[g.nbr_index], axis=1))
 
 
-def field_to_csv_reference(fld, skip_nan):
+def field_to_csv_reference(fld):
     """field_to_csv's text, written sample by sample."""
     g = fld.grid
     out = [",".join(f"x{i}" for i in range(g.dim)) + ",t,value\n"]
     for j, tj in enumerate(g.t):
         for i in range(g.n_nodes):
             v = fld.values[i, j]
-            if skip_nan and np.isnan(v):
-                continue
             coords = ",".join(f"{c:.17g}" for c in g.sample_pos[i])
             out.append(f"{coords},{tj:.17g},{v:.17g}\n")
     return "".join(out)
@@ -564,19 +579,17 @@ SERIAL_GRIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(SERIAL_GRIDS))
-@pytest.mark.parametrize("skip_nan", [True, False])
-def test_serializers_match_per_sample_writers(tmp_path, name, skip_nan):
+def test_serializers_match_per_sample_writers(tmp_path, name):
     dom, h = SERIAL_GRIDS[name]
     g = build_grid(dom, h, 0.5, 3, min_interior_per_axis=1)
     rng = np.random.default_rng(7)
     vals = rng.uniform(-2.0, 2.0, (g.n_nodes, g.time_levels))
-    vals[g.interior_idx, 1:] = np.nan
-    special = [np.nan, -0.0, 0.0, 1e-300, -1e300, 1e300, 1e-8, 1.0 / 3.0]
+    special = [-0.0, 0.0, 1e-300, -1e300, 1e300, 1e-8, 1.0 / 3.0]
     vals.flat[:len(special)] = special
     fld = GridField(g, vals)
-    grids.field_to_csv(fld, tmp_path / "f.csv", skip_nan=skip_nan)
+    grids.field_to_csv(fld, tmp_path / "f.csv")
     assert ((tmp_path / "f.csv").read_bytes()
-            == field_to_csv_reference(fld, skip_nan).encode())
+            == field_to_csv_reference(fld).encode())
     desc = grids.grid_to_json(g)
     grids.write_json(tmp_path / "g.json", desc)
     ref = dict(desc, nodes=grid_json_reference(g))

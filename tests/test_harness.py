@@ -46,24 +46,55 @@ class TestWeakMaxPrinciple:
 
 
 def test_weak_max_principle_makes_no_copy(traced_peak):
-    # the margins and the tolerance equal those of np.nanmax/np.nanmin
-    # over copies of the P_T and interior values bit for bit, NaN-holed
-    # fields included, and the check's traced heap stays far below one
-    # (N, L) field: 0.05 of one on the box3d-growth grid, the masked
-    # reductions' iteration buffers (the copies took 1.3 fields)
+    # the margins and the tolerance equal those of np.max/np.min over
+    # copies of the P_T and interior values bit for bit, and the check's
+    # traced heap stays far below one (N, L) field: 0.05 of one on the
+    # box3d-growth grid, the masked reductions' iteration buffers (the
+    # copies took 1.3 fields)
     g = build_grid(Domain.box([(-0.5, 0.5)] * 3), 0.05, 1.0, 21)
     rng = np.random.default_rng(3)
     vals = rng.uniform(-2.0, 1.5, (g.n_nodes, g.time_levels))
-    holed = np.where(rng.random(vals.shape) < 0.1, np.nan, vals)
-    for v in (vals, holed, np.abs(vals)):
+    for v in (vals, np.abs(vals)):
         rep, peak = traced_peak(H.check_weak_max_principle, GridField(g, v))
         pt, inner = v[g.pt_mask], v[g.interior_idx, 1:]
-        assert rep.details["sup_margin"] == float(np.nanmax(inner)
-                                                  - np.nanmax(pt))
-        assert rep.details["inf_margin"] == float(np.nanmin(pt)
-                                                  - np.nanmin(inner))
-        assert rep.tolerance == 1e-8 * (1.0 + float(np.nanmax(np.abs(pt))))
+        assert rep.details["sup_margin"] == float(np.max(inner)
+                                                  - np.max(pt))
+        assert rep.details["inf_margin"] == float(np.min(pt)
+                                                  - np.min(inner))
+        assert rep.tolerance == 1e-8 * (1.0 + float(np.max(np.abs(pt))))
         assert peak <= 0.1 * v.nbytes
+
+
+def test_comparison_makes_one_field(traced_peak):
+    # u - v is formed once and reduced with where=; ratio mode reuses its
+    # buffer for |v| and then u / v.  The margins equal the nanmax/nanmin
+    # of copies bit for bit, the ratio's 0/0 skipped on zero-lateral data,
+    # and the traced heap stays within 1.05 (N, L) fields on the
+    # box3d-growth grid (the copies took 1.28, 2.00 in ratio mode)
+    g = build_grid(Domain.box([(-0.5, 0.5)] * 3), 0.05, 1.0, 21)
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.5, 1.0, (g.n_nodes, g.time_levels))
+    v = u + rng.uniform(-0.01, 0.1, u.shape)
+    u0, v0 = u.copy(), v.copy()
+    u0[g.boundary_idx, 1:] = v0[g.boundary_idx, 1:] = 0.0
+    pt = g.pt_mask
+    for a, b in ((u, v), (u0, v0)):
+        uf, vf = GridField(g, a), GridField(g, b)
+        rep, peak = traced_peak(H.check_comparison, uf, vf, 1.0)
+        assert rep.details["precondition_gap"] == float(
+            np.nanmax((a - b)[pt]))
+        assert rep.worst_violation == float(np.nanmax(a - b))
+        assert peak <= 1.05 * a.nbytes
+        rep, peak = traced_peak(H.check_comparison, uf, vf, 1.0, True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = a / b
+        pt_sup = np.nanmax(np.where(pt, ratio, -np.inf))
+        inner_sup = np.nanmax(ratio[g.interior_idx, 1:])
+        assert rep.details["pt_sup"] == float(pt_sup)
+        assert rep.details["inner_sup"] == float(inner_sup)
+        assert rep.worst_violation == float(inner_sup - pt_sup)
+        assert rep.tolerance == 1.0 / max(float(np.nanmin(np.abs(b))), 1e-12)
+        assert peak <= 1.05 * a.nbytes
 
 
 class TestComparison:
@@ -260,6 +291,23 @@ class TestSandwich:
                                           "time_stride": 2})
         assert rep.passed
         assert rep.details["gap_monotone"]
+
+    def test_verdict_is_scale_invariant(self):
+        # the equation is invariant under phi -> c phi: the full-suite
+        # sandwich gives the same verdict at base 1 and scaled by 1e5,
+        # where its three equal boundary gaps (0.41633 base) sit above
+        # 2^14 and an absolute 1e-12 slack rounds away
+        from inflap.catalog import make_data
+
+        g = build_grid(Domain.interval(0, 1), 0.1, 0.4, 6)
+        for base in (1.0, 1e5):
+            bd = make_data("gaussian-bump", {"base": base, "amp": base / 2,
+                                             "width": 0.3, "center": [0.5]})
+            rep = H.check_sandwich(g, bd, family_kw={"interior_stride": 2,
+                                                     "time_stride": 2})
+            gaps = rep.details["boundary_gaps"]
+            assert gaps[0] == gaps[-1] > 0.4 * base
+            assert rep.passed and rep.details["gap_monotone"]
 
     def test_no_residual_summary_takes_the_field_band(self):
         # summarize_residual=False leaves the solve without a summary: the
