@@ -579,14 +579,19 @@ SERIAL_GRIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(SERIAL_GRIDS))
-def test_serializers_match_per_sample_writers(tmp_path, name):
+@pytest.mark.parametrize("fortran_order", [True, False])
+def test_serializers_match_per_sample_writers(tmp_path, name, fortran_order):
+    # the CSV follows the samples' logical order, whatever the memory layout
     dom, h = SERIAL_GRIDS[name]
     g = build_grid(dom, h, 0.5, 3, min_interior_per_axis=1)
     rng = np.random.default_rng(7)
     vals = rng.uniform(-2.0, 2.0, (g.n_nodes, g.time_levels))
     special = [-0.0, 0.0, 1e-300, -1e300, 1e300, 1e-8, 1.0 / 3.0]
     vals.flat[:len(special)] = special
+    if fortran_order:
+        vals = np.asfortranarray(vals)
     fld = GridField(g, vals)
+    assert fld.values.flags.f_contiguous == fortran_order
     grids.field_to_csv(fld, tmp_path / "f.csv")
     assert ((tmp_path / "f.csv").read_bytes()
             == field_to_csv_reference(fld).encode())
